@@ -29,20 +29,18 @@
 //! `Session::with_max_pairs` bound (LRU eviction + transparent
 //! recompute) against an unbounded table.
 //!
-//! The `serving-mvcc` group compares the two server concurrency modes
-//! (`ConcurrencyMode::Mvcc` vs the PR 5 `RwLock` ablation) through the
-//! wire `Conn`: write latency while a slow reader holds a 25ms view
-//! (the countermodel-enumeration stand-in), client read p50/p99 under a
-//! sustained write storm, and a multi-writer burst whose STATS delta
-//! shows group-commit coalescing.
+//! The `serving-mvcc` group measures the snapshot-isolated server core
+//! through the wire `Conn`: write latency while a slow reader holds a
+//! 25ms view (the countermodel-enumeration stand-in), client read
+//! p50/p99 under a sustained write storm, and a multi-writer burst whose
+//! STATS delta shows group-commit coalescing.
 //!
 //! The final groups print the measured speedups explicitly — the
 //! acceptance targets are ≥ 2× for the `[<,<=]` serving mix, ≥ 10× for
 //! the `!=`-heavy workloads, ≥ 20× for incremental scaffold
 //! maintenance vs drop-and-rebuild on the read/write mix, all at
-//! |D| ≈ 1k, and for the MVCC group: write latency ≥ 10× better than
-//! the lock under a long read, no read-p99 regression under the storm,
-//! and ≥ 2 fragments per group commit on the burst.
+//! |D| ≈ 1k, and for the MVCC group ≥ 2 fragments per group commit on
+//! the burst.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use indord_bench::workloads;
@@ -307,11 +305,9 @@ fn bench_serving(c: &mut Criterion) {
     g.finish();
 }
 
-/// A warm protocol connection over a registry pinned to the given
-/// concurrency mode (epoch-MVCC default vs the `RwLock` ablation
-/// baseline kept for exactly these measurements).
-fn serving_conn_mode(
-    mode: indord_server::runtime::ConcurrencyMode,
+/// A warm protocol connection over a fresh in-memory registry, kept
+/// alongside it so other threads can open their own connections.
+fn serving_conn_shared(
     voc: &Vocabulary,
     db: &Database,
 ) -> (
@@ -320,7 +316,7 @@ fn serving_conn_mode(
 ) {
     use indord_server::runtime::{Conn, Registry};
     use std::sync::Arc;
-    let registry = Arc::new(Registry::with_mode(mode));
+    let registry = Arc::new(Registry::new());
     registry.install("bench", voc.clone(), db.clone());
     let mut conn = Conn::new(Arc::clone(&registry));
     conn.handle_line("USE bench");
@@ -550,21 +546,16 @@ fn report_speedup(_c: &mut Criterion) {
     );
 }
 
-/// Prints and records the MVCC-vs-RwLock serving evidence (the ISSUE 6
-/// acceptance numbers): write latency with a long read in flight
-/// (≥ 10x), client-side read p50/p99 under a write storm (no
-/// regression vs the PR 5 lock), burst write throughput per mode, and
-/// group-commit coalescing (≥ 2 fragments/commit on the burst).
+/// Prints and records the MVCC serving evidence: write latency with a
+/// long read in flight, client-side read p50/p99 under a write storm,
+/// burst write throughput, and group-commit coalescing (≥ 2
+/// fragments/commit on the burst).
 fn report_mvcc(_c: &mut Criterion) {
     use indord_server::protocol::Response;
-    use indord_server::runtime::{ConcurrencyMode, Conn};
+    use indord_server::runtime::Conn;
     use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
     use std::sync::Arc;
     use std::time::Instant;
-    const MODES: [(&str, ConcurrencyMode); 2] = [
-        ("mvcc", ConcurrencyMode::Mvcc),
-        ("rwlock", ConcurrencyMode::RwLock),
-    ];
     let stats_of = |conn: &mut Conn| match conn.handle_line("STATS") {
         Response::Stats(s) => *s,
         other => panic!("STATS: unexpected {other:?}"),
@@ -573,176 +564,138 @@ fn report_mvcc(_c: &mut Criterion) {
 
     // 1. Write latency with a 25ms-held read view in flight (the slow
     //    Thm 5.3 countermodel-enumeration stand-in). Writes arrive 5ms
-    //    apart like a real client, so each lands mid-hold instead of a
-    //    serial burst squeezing through the holder's re-acquire gap —
-    //    without the spacing the lock leg measures the gap, not the
-    //    hold. The mean is the honest statistic: under the lock a write
-    //    either waits out the hold or slips through, so the median flips
-    //    between regimes while the mean is dominated by the blocking
-    //    under test.
+    //    apart like a real client, so each lands mid-hold. A held
+    //    snapshot must never delay a write.
     let writes = if criterion::is_smoke() { 8 } else { 40 };
-    let mut write_means = Vec::new();
-    for (leg, mode) in MODES {
-        let (registry, mut conn) = serving_conn_mode(mode, &voc, &db);
-        let stop = Arc::new(AtomicBool::new(false));
-        let holder = {
-            let registry = Arc::clone(&registry);
-            let stop = Arc::clone(&stop);
-            std::thread::spawn(move || {
-                let db = registry.get("bench").expect("installed");
-                while !stop.load(Ordering::Relaxed) {
-                    let view = db.view();
-                    std::thread::sleep(Duration::from_millis(25));
-                    drop(view);
-                    std::thread::yield_now();
-                }
-            })
-        };
-        std::thread::sleep(Duration::from_millis(5)); // holder is in place
-        let mut samples = Vec::with_capacity(writes);
-        for step in 0..writes {
-            std::thread::sleep(Duration::from_millis(5)); // client pacing
-            let line = format!("FACT P{}(t1_{});", step % 3, step % 512);
-            let t0 = Instant::now();
-            let r = conn.handle_line(&line);
-            samples.push(t0.elapsed());
-            assert!(matches!(r, Response::Ok(_)), "write failed: {r:?}");
-        }
-        stop.store(true, Ordering::Relaxed);
-        holder.join().expect("holder thread");
-        let mean = samples.iter().sum::<Duration>() / samples.len() as u32;
-        criterion::record(
-            &format!("prepared/serving-mvcc/write-mean-under-long-read/{leg}"),
-            mean.as_nanos() as f64,
-        );
-        write_means.push(mean);
+    let (registry, mut conn) = serving_conn_shared(&voc, &db);
+    let stop = Arc::new(AtomicBool::new(false));
+    let holder = {
+        let registry = Arc::clone(&registry);
+        let stop = Arc::clone(&stop);
+        std::thread::spawn(move || {
+            let db = registry.get("bench").expect("installed");
+            while !stop.load(Ordering::Relaxed) {
+                let view = db.view();
+                std::thread::sleep(Duration::from_millis(25));
+                drop(view);
+                std::thread::yield_now();
+            }
+        })
+    };
+    std::thread::sleep(Duration::from_millis(5)); // holder is in place
+    let mut samples = Vec::with_capacity(writes);
+    for step in 0..writes {
+        std::thread::sleep(Duration::from_millis(5)); // client pacing
+        let line = format!("FACT P{}(t1_{});", step % 3, step % 512);
+        let t0 = Instant::now();
+        let r = conn.handle_line(&line);
+        samples.push(t0.elapsed());
+        assert!(matches!(r, Response::Ok(_)), "write failed: {r:?}");
     }
-    let write_speedup = write_means[1].as_secs_f64() / write_means[0].as_secs_f64().max(1e-12);
-    println!(
-        "prepared/mvcc-write-summary   write mean under 25ms-held read: mvcc {:>10?}  rwlock {:>10?}  speedup: {write_speedup:.1}x — target >= 10x: {}",
-        write_means[0],
-        write_means[1],
-        if write_speedup >= 10.0 { "MET" } else { "NOT MET" }
+    stop.store(true, Ordering::Relaxed);
+    holder.join().expect("holder thread");
+    let write_mean = samples.iter().sum::<Duration>() / samples.len() as u32;
+    criterion::record(
+        "prepared/serving-mvcc/write-mean-under-long-read/mvcc",
+        write_mean.as_nanos() as f64,
     );
+    println!("prepared/mvcc-write-summary   write mean under 25ms-held read: {write_mean:>10?}");
 
     // 2. Client-side read p50/p99 under a steady background write load
     //    (one writer, a label fact on known constants every 5ms). The
-    //    claim under test is that writes never *block* reads — the lock
-    //    pathology. The pacing keeps commits below the p99 sample tail
-    //    on a single-core box, where a saturating writer would measure
-    //    the scheduler's timeslicing (every thread starves every other
-    //    thread at 100% CPU) rather than the locking discipline.
+    //    claim under test is that writes never *block* reads. The pacing
+    //    keeps commits below the p99 sample tail on a single-core box,
+    //    where a saturating writer would measure the scheduler's
+    //    timeslicing (every thread starves every other thread at 100%
+    //    CPU) rather than the concurrency discipline.
     let window = Duration::from_millis(if criterion::is_smoke() { 50 } else { 250 });
-    let mut p99s = Vec::new();
-    for (leg, mode) in MODES {
-        let (registry, mut conn) = serving_conn_mode(mode, &voc, &db);
-        let stop = Arc::new(AtomicBool::new(false));
-        let storm = {
-            let registry = Arc::clone(&registry);
-            let stop = Arc::clone(&stop);
-            std::thread::spawn(move || {
-                let mut c = Conn::new(registry);
-                c.handle_line("USE bench");
-                let mut step = 0usize;
-                while !stop.load(Ordering::Relaxed) {
-                    step += 1;
-                    c.handle_line(&format!("FACT P{}(t0_{});", step % 3, (step * 7) % 512));
-                    std::thread::sleep(Duration::from_millis(5));
-                }
-            })
-        };
-        let started = Instant::now();
-        let mut reads: Vec<f64> = Vec::with_capacity(1 << 16);
-        while started.elapsed() < window {
-            let t0 = Instant::now();
-            let _ = criterion::black_box(conn.handle_line("ENTAIL disj"));
-            reads.push(t0.elapsed().as_nanos() as f64);
-        }
-        stop.store(true, Ordering::Relaxed);
-        storm.join().expect("storm thread");
-        reads.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-        let p50 = reads[reads.len() / 2];
-        let p99 = reads[(reads.len() * 99 / 100).min(reads.len() - 1)];
-        criterion::record(
-            &format!("prepared/serving-mvcc/read-p50-under-storm/{leg}"),
-            p50,
-        );
-        criterion::record(
-            &format!("prepared/serving-mvcc/read-p99-under-storm/{leg}"),
-            p99,
-        );
-        println!(
-            "prepared/mvcc-read-storm      {leg:<6} read p50: {:>9.0} ns  p99: {:>9.0} ns  ({} reads under storm)",
-            p50,
-            p99,
-            reads.len()
-        );
-        p99s.push(p99);
+    let (registry, mut conn) = serving_conn_shared(&voc, &db);
+    let stop = Arc::new(AtomicBool::new(false));
+    let storm = {
+        let registry = Arc::clone(&registry);
+        let stop = Arc::clone(&stop);
+        std::thread::spawn(move || {
+            let mut c = Conn::new(registry);
+            c.handle_line("USE bench");
+            let mut step = 0usize;
+            while !stop.load(Ordering::Relaxed) {
+                step += 1;
+                c.handle_line(&format!("FACT P{}(t0_{});", step % 3, (step * 7) % 512));
+                std::thread::sleep(Duration::from_millis(5));
+            }
+        })
+    };
+    let started = Instant::now();
+    let mut reads: Vec<f64> = Vec::with_capacity(1 << 16);
+    while started.elapsed() < window {
+        let t0 = Instant::now();
+        let _ = criterion::black_box(conn.handle_line("ENTAIL disj"));
+        reads.push(t0.elapsed().as_nanos() as f64);
     }
+    stop.store(true, Ordering::Relaxed);
+    storm.join().expect("storm thread");
+    reads.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
+    let p50 = reads[reads.len() / 2];
+    let p99 = reads[(reads.len() * 99 / 100).min(reads.len() - 1)];
+    criterion::record("prepared/serving-mvcc/read-p50-under-storm/mvcc", p50);
+    criterion::record("prepared/serving-mvcc/read-p99-under-storm/mvcc", p99);
     println!(
-        "prepared/mvcc-read-summary    read p99 under write storm: mvcc {:.0} ns vs rwlock (PR 5 baseline) {:.0} ns — no regression (<= 1.5x): {}",
-        p99s[0],
-        p99s[1],
-        if p99s[0] <= p99s[1] * 1.5 { "MET" } else { "NOT MET" }
+        "prepared/mvcc-read-storm      read p50: {:>9.0} ns  p99: {:>9.0} ns  ({} reads under storm)",
+        p50,
+        p99,
+        reads.len()
     );
 
-    // 3. Burst throughput per mode + group-commit coalescing. Six
-    //    concurrent connections each push a run of label facts; the
-    //    mutator drains whatever queued, so fragments/commit > 1 is the
-    //    group-commit claim (exact sizes are scheduling-dependent).
+    // 3. Burst throughput + group-commit coalescing. Six concurrent
+    //    connections each push a run of label facts; the mutator drains
+    //    whatever queued, so fragments/commit > 1 is the group-commit
+    //    claim (exact sizes are scheduling-dependent).
     const BURST_WRITERS: usize = 6;
     let per_writer = if criterion::is_smoke() { 10 } else { 40 };
-    for (leg, mode) in MODES {
-        let (registry, mut conn) = serving_conn_mode(mode, &voc, &db);
-        let before = stats_of(&mut conn);
-        let landed = Arc::new(AtomicU64::new(0));
-        let t0 = Instant::now();
-        std::thread::scope(|scope| {
-            for w in 0..BURST_WRITERS {
-                let registry = Arc::clone(&registry);
-                let landed = Arc::clone(&landed);
-                scope.spawn(move || {
-                    let mut c = Conn::new(registry);
-                    c.handle_line("USE bench");
-                    for k in 0..per_writer {
-                        let r = c.handle_line(&format!(
-                            "FACT P{}(t1_{});",
-                            (w + k) % 3,
-                            (w * per_writer + k) % 512
-                        ));
-                        assert!(matches!(r, Response::Ok(_)), "burst write failed: {r:?}");
-                        landed.fetch_add(1, Ordering::Relaxed);
-                    }
-                });
-            }
-        });
-        let wall = t0.elapsed();
-        let after = stats_of(&mut conn);
-        let wps = landed.load(Ordering::Relaxed) as f64 / wall.as_secs_f64().max(1e-12);
-        criterion::record(
-            &format!("prepared/serving-mvcc/burst-writes-per-sec/{leg}"),
-            wps,
-        );
-        println!(
-            "prepared/mvcc-burst           {leg:<6} {} writes from {BURST_WRITERS} connections in {wall:?} ({wps:.0} writes/s)",
-            landed.load(Ordering::Relaxed)
-        );
-        if mode == ConcurrencyMode::Mvcc {
-            let commits = (after.group_commits - before.group_commits).max(1);
-            let fragments = after.group_fragments - before.group_fragments;
-            let avg = fragments as f64 / commits as f64;
-            criterion::record("prepared/serving-mvcc/burst-fragments-per-commit", avg);
-            criterion::record(
-                "prepared/serving-mvcc/burst-max-group",
-                after.max_group as f64,
-            );
-            println!(
-                "prepared/mvcc-coalescing      burst: {fragments} fragments over {commits} group commits = {avg:.1} avg (max group {}) — target >= 2 fragments/commit: {}",
-                after.max_group,
-                if avg >= 2.0 { "MET" } else { "NOT MET" }
-            );
+    let (registry, mut conn) = serving_conn_shared(&voc, &db);
+    let before = stats_of(&mut conn);
+    let landed = Arc::new(AtomicU64::new(0));
+    let t0 = Instant::now();
+    std::thread::scope(|scope| {
+        for w in 0..BURST_WRITERS {
+            let registry = Arc::clone(&registry);
+            let landed = Arc::clone(&landed);
+            scope.spawn(move || {
+                let mut c = Conn::new(registry);
+                c.handle_line("USE bench");
+                for k in 0..per_writer {
+                    let r = c.handle_line(&format!(
+                        "FACT P{}(t1_{});",
+                        (w + k) % 3,
+                        (w * per_writer + k) % 512
+                    ));
+                    assert!(matches!(r, Response::Ok(_)), "burst write failed: {r:?}");
+                    landed.fetch_add(1, Ordering::Relaxed);
+                }
+            });
         }
-    }
+    });
+    let wall = t0.elapsed();
+    let after = stats_of(&mut conn);
+    let wps = landed.load(Ordering::Relaxed) as f64 / wall.as_secs_f64().max(1e-12);
+    criterion::record("prepared/serving-mvcc/burst-writes-per-sec/mvcc", wps);
+    println!(
+        "prepared/mvcc-burst           {} writes from {BURST_WRITERS} connections in {wall:?} ({wps:.0} writes/s)",
+        landed.load(Ordering::Relaxed)
+    );
+    let commits = (after.group_commits - before.group_commits).max(1);
+    let fragments = after.group_fragments - before.group_fragments;
+    let avg = fragments as f64 / commits as f64;
+    criterion::record("prepared/serving-mvcc/burst-fragments-per-commit", avg);
+    criterion::record(
+        "prepared/serving-mvcc/burst-max-group",
+        after.max_group as f64,
+    );
+    println!(
+        "prepared/mvcc-coalescing      burst: {fragments} fragments over {commits} group commits = {avg:.1} avg (max group {}) — target >= 2 fragments/commit: {}",
+        after.max_group,
+        if avg >= 2.0 { "MET" } else { "NOT MET" }
+    );
 }
 
 /// The durability overhead (ISSUE 7 acceptance): write mean through the

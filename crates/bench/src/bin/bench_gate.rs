@@ -11,11 +11,10 @@
 //!
 //! Only the *sequential* serving leg is gated: the single-core CI
 //! runner makes the storm/burst legs measure the scheduler's
-//! timeslicing rather than the code under test, and the rwlock
-//! write-mean leg is dominated by the 25ms read hold it deliberately
-//! waits out. The MVCC write mean under a held read is the commit
-//! path's own cost (patch + freeze + publish, never blocked), so it is
-//! stable enough to gate even from a smoke run's short sample.
+//! timeslicing rather than the code under test. The MVCC write mean
+//! under a held read is the commit path's own cost (patch + freeze +
+//! publish, never blocked), so it is stable enough to gate even from a
+//! smoke run's short sample.
 
 use std::process::ExitCode;
 

@@ -5,9 +5,8 @@
 //!
 //! * [`Engine::prepare`] compiles a [`DnfQuery`] into a
 //!   [`PreparedQuery`]: DNF disjuncts, object/order splits (§4),
-//!   flexi-words, path decompositions (Lemma 4.1), `!=` expansion plans
-//!   (§7), and a [`Plan`] recording which algorithm each disjunct routes
-//!   to.
+//!   flexi-words, path decompositions (Lemma 4.1) and `!=` expansion
+//!   plans (§7).
 //! * [`Engine::entails_prepared`] evaluates a prepared query against a
 //!   [`Session`], whose normalized and monadic views are cached across
 //!   calls — a hot session performs no re-normalization and a prepared
@@ -19,18 +18,20 @@
 //! so prepared and unprepared evaluation agree by construction:
 //!
 //! 1. the database is normalized (N1/N2, consistency);
-//! 2. when every predicate in play is monadic, the monadic pipeline runs:
-//!    the object part of each disjunct (§4) is evaluated against the
-//!    definite facts, the order parts go to `SEQ` / paths / Theorem 4.7 /
-//!    Theorem 5.3 depending on shape;
-//! 3. otherwise the naive n-ary engine decides by minimal-model
-//!    enumeration (with enumeration caps surfaced as errors).
+//! 2. when every predicate in play is monadic, the object part of each
+//!    disjunct (§4) is evaluated against the definite facts;
+//! 3. `route::choose` picks the route from the strategy, the compiled
+//!    query, the surviving disjuncts and the database's `!=` constraints
+//!    — `SEQ` / paths / Theorem 4.7 / Theorem 5.3 / §7 by shape, or the
+//!    naive minimal-model enumeration for n-ary inputs — and the
+//!    executor runs it. [`Engine::explain_route`] makes the same choice
+//!    without running anything.
 //!
 //! The [`Strategy`] enum pins a specific algorithm, which the benchmarks
 //! and the cross-validation tests use.
 
-use crate::prepared::{MonadicPlan, NeExpansion, Plan, PreparedQuery};
-use crate::route::{self, FiredRoute};
+use crate::prepared::{MonadicPlan, PreparedDisjunct, PreparedQuery};
+use crate::route::{self, Route};
 use crate::verdict::{MonadicVerdict, NaryVerdict};
 use crate::{bounded, disjunctive, ineq, naive, paths, seq};
 use indord_core::bitset::PredSet;
@@ -42,6 +43,7 @@ use indord_core::query::DnfQuery;
 use indord_core::scaffold::{DisjunctiveScaffold, SubScaffold};
 use indord_core::session::{object_profiles_of, Session};
 use indord_core::sym::Vocabulary;
+use std::borrow::Cow;
 use std::cell::OnceCell;
 
 /// Tunable evaluation limits, fixed at engine construction and threaded
@@ -262,323 +264,151 @@ impl<'a> Engine<'a> {
         self.execute(&view, &pq)
     }
 
+    /// The route [`Engine::entails_prepared`] takes for `pq` on
+    /// `session`, from the same `route::choose` call, without running
+    /// any search: only the session's normalized and monadic views and
+    /// object profiles are read (computed first if the session is cold).
+    pub fn explain_route(&self, session: &Session, pq: &PreparedQuery) -> Result<Route> {
+        let view = SessionView {
+            session,
+            voc: self.voc,
+        };
+        view.normal()?;
+        choose(pq, Monadic::of(&view, pq)?.as_ref())
+    }
+
     /// The shared executor behind [`Engine::entails`] and
-    /// [`Engine::entails_prepared`].
+    /// [`Engine::entails_prepared`]: choose the route, record it, run it.
     fn execute<V: DbView>(&self, view: &V, pq: &PreparedQuery) -> Result<Verdict> {
         let nd = view.normal()?;
-        if pq.query.disjuncts.is_empty() {
-            // The false query: entailed only by an inconsistent database,
-            // and normalization already rejected those — except when a
-            // merged `!=` pair leaves no models at all.
-            route::record(FiredRoute::Empty);
-            return Ok(if nd.has_contradictory_ne() {
-                Verdict::Entailed
-            } else {
-                Verdict::MonadicCountermodel(MonadicModel::new(Vec::new())).into_first_model(nd)
-            });
-        }
-
-        // Monadic route?
-        if let Some(plan) = &pq.monadic {
-            match view.monadic() {
-                Ok(mdb) => {
-                    // Filter disjuncts by the truth of their object parts.
-                    let profiles = view.object_profiles()?;
-                    let mut survivors = Vec::with_capacity(plan.objects.len());
-                    for (i, object) in plan.objects.iter().enumerate() {
-                        if !object.holds_against(profiles) {
-                            continue; // this disjunct can never fire
-                        }
-                        if plan.orders[i].is_empty() {
-                            route::record(FiredRoute::Object);
-                            return Ok(Verdict::Entailed); // object part suffices
-                        }
-                        survivors.push(i);
-                    }
-                    return Ok(execute_monadic(
-                        pq.strategy,
-                        mdb,
-                        view,
-                        plan,
-                        &survivors,
-                        self.options,
-                    )?
-                    .into());
-                }
-                // An n-ary database: decide by the naive engine below.
-                Err(CoreError::NotMonadic { .. }) => {}
-                // Anything else (e.g. a session warmed against a different
-                // vocabulary) must surface, not silently fall back to an
-                // engine that would misread the predicate symbols.
-                Err(e) => return Err(e),
-            }
-        }
-
-        // n-ary route.
-        match pq.strategy {
-            Strategy::Auto | Strategy::Naive => {
-                route::record(FiredRoute::Naive);
-                Ok(naive::nary_check(nd, &pq.query)?.into())
-            }
-            s => Err(CoreError::Parse {
-                span: indord_core::error::Span::NONE,
-                message: format!("strategy {s:?} requires monadic predicates"),
-            }),
-        }
-    }
-
-    /// The monadic pipeline on raw order disjuncts: compiles them on the
-    /// fly and runs the shared monadic executor (kept for callers that
-    /// already hold [`MonadicDatabase`]/[`MonadicQuery`] values).
-    pub fn monadic_entails(
-        &self,
-        mdb: &MonadicDatabase,
-        disjuncts: &[MonadicQuery],
-    ) -> Result<MonadicVerdict> {
-        let plan = MonadicPlan::from_orders(disjuncts, self.options.expansion_cap);
-        let survivors: Vec<usize> = (0..plan.orders.len()).collect();
-        let local = LocalScaffold {
-            mdb,
-            cell: OnceCell::new(),
+        let monadic = Monadic::of(view, pq)?;
+        let route = choose(pq, monadic.as_ref())?;
+        route::record(route);
+        let m = || {
+            monadic
+                .as_ref()
+                .expect("the chooser gives monadic routes to monadic inputs only")
         };
-        execute_monadic(self.strategy, mdb, &local, &plan, &survivors, self.options)
-    }
-}
-
-/// Lazy access to the Theorem 5.3 scaffold of the database under
-/// evaluation — a session cache, a one-shot cell, or a local build.
-trait ScaffoldSource {
-    fn scaffold(&self) -> Result<&DisjunctiveScaffold>;
-    /// The §7 view of the scaffold, projected onto the database's
-    /// `!=`-separating region — the session-cached signature on the
-    /// prepared path, a fresh projection on the one-shot paths.
-    fn sub_scaffold(&self) -> Result<SubScaffold<'_>>;
-}
-
-/// One-shot scaffold over a caller-held [`MonadicDatabase`].
-struct LocalScaffold<'a> {
-    mdb: &'a MonadicDatabase,
-    cell: OnceCell<DisjunctiveScaffold>,
-}
-
-impl ScaffoldSource for LocalScaffold<'_> {
-    fn scaffold(&self) -> Result<&DisjunctiveScaffold> {
-        Ok(self.cell.get_or_init(|| DisjunctiveScaffold::new(self.mdb)))
-    }
-
-    fn sub_scaffold(&self) -> Result<SubScaffold<'_>> {
-        Ok(SubScaffold::project(self.scaffold()?, self.mdb))
-    }
-}
-
-/// Runs the monadic pipeline over the disjuncts selected by
-/// `survivors` (indices into `plan.orders`), routing exactly as the
-/// historical `monadic_entails` did but off precompiled artifacts. The
-/// disjunctive routes run against `sc`'s scaffold — the session-cached
-/// one on the prepared path, so repeated queries share search state.
-fn execute_monadic(
-    strategy: Strategy,
-    mdb: &MonadicDatabase,
-    sc: &dyn ScaffoldSource,
-    plan: &MonadicPlan,
-    survivors: &[usize],
-    options: EntailOptions,
-) -> Result<MonadicVerdict> {
-    if survivors.is_empty() {
-        // No disjunct survived object-part filtering: find any model.
-        route::record(FiredRoute::Naive);
-        return naive_first_model(mdb);
-    }
-    let all_survive = survivors.len() == plan.orders.len();
-    let owned: Vec<MonadicQuery>;
-    let orders: &[MonadicQuery] = if all_survive {
-        &plan.orders
-    } else {
-        owned = survivors.iter().map(|&i| plan.orders[i].clone()).collect();
-        &owned
-    };
-    let has_query_ne = orders.iter().any(|q| !q.ne.is_empty());
-    let has_ne = !mdb.ne.is_empty() || has_query_ne;
-    let single = |what: &str| -> Result<usize> {
-        if survivors.len() != 1 {
-            return Err(CoreError::Parse {
-                span: indord_core::error::Span::NONE,
-                message: format!("{what} strategy requires a conjunctive query"),
-            });
-        }
-        Ok(survivors[0])
-    };
-    // The pinned special-purpose algorithms (SEQ, Lemma 4.1, Thm 4.7)
-    // are defined for `[<,<=]` inputs only; silently ignoring `!=`
-    // constraints would return wrong verdicts, so refuse them (Auto and
-    // Naive handle `!=` via the §7 routes). Pinned Disjunctive enforces
-    // *database* `!=` natively through the sub-scaffold projection, but
-    // still refuses query `!=` atoms — those need the §7 expansion.
-    let refuse_ne = |what: &str| -> Result<()> {
-        if has_ne {
-            return Err(CoreError::Parse {
-                span: indord_core::error::Span::NONE,
-                message: format!(
-                    "{what} strategy requires [<,<=] inputs; use Auto or Naive for !="
-                ),
-            });
-        }
-        Ok(())
-    };
-    let refuse_query_ne = |what: &str| -> Result<()> {
-        if has_query_ne {
-            return Err(CoreError::Parse {
-                span: indord_core::error::Span::NONE,
-                message: format!(
-                    "{what} strategy requires [<,<=] queries; use Auto or Naive for query !="
-                ),
-            });
-        }
-        Ok(())
-    };
-    match strategy {
-        Strategy::Naive => {
-            route::record(FiredRoute::Naive);
-            naive::monadic_check(mdb, orders)
-        }
-        Strategy::Seq => {
-            refuse_ne("Seq")?;
-            if survivors.len() != 1 {
-                return Err(CoreError::NotSequential);
+        let limits = self.options.search_limits();
+        let verdict = match route {
+            Route::Empty => return Ok(empty_query_verdict(nd)),
+            Route::Object => MonadicVerdict::Entailed,
+            Route::Naive => match &monadic {
+                None => return Ok(naive::nary_check(nd, &pq.query)?.into()),
+                Some(m) => naive::monadic_check(m.mdb, &m.orders())?,
+            },
+            Route::Seq => {
+                let m = m();
+                let flexi = m.compiled().flexi.as_ref();
+                seq::check(m.mdb, flexi.expect("a seq route has a flexi-word"))
             }
-            match &plan.compiled()[survivors[0]].flexi {
-                Some(w) => {
-                    route::record(FiredRoute::Seq);
-                    Ok(seq::check(mdb, w))
-                }
-                None => Err(CoreError::NotSequential),
-            }
-        }
-        Strategy::Paths => {
-            refuse_ne("Paths")?;
-            let i = single("Paths")?;
-            route::record(FiredRoute::Paths);
-            Ok(run_paths(mdb, plan, i))
-        }
-        Strategy::BoundedWidth => {
-            refuse_ne("BoundedWidth")?;
-            let i = single("BoundedWidth")?;
-            route::record(FiredRoute::BoundedWidth);
-            Ok(bounded::check(mdb, &plan.orders[i]))
-        }
-        Strategy::Disjunctive => {
-            refuse_query_ne("Disjunctive")?;
-            route::record(FiredRoute::Disjunctive);
-            disjunctive::check_restricted(mdb, &sc.sub_scaffold()?, orders, options.search_limits())
-        }
-        Strategy::Auto => {
-            if has_ne {
-                return run_ne_route(mdb, sc, plan, survivors, all_survive, orders, options);
-            }
-            if survivors.len() == 1 {
-                let i = survivors[0];
-                let d = &plan.compiled()[i];
-                return Ok(match (&d.flexi, d.plan) {
-                    (Some(w), _) => {
-                        route::record(FiredRoute::Seq);
-                        seq::check(mdb, w)
-                    }
-                    // Few paths: Lemma 4.1 with SEQ per path (linear in
-                    // |D|); otherwise the Theorem 4.7 product search.
-                    (None, Plan::Paths) => {
-                        route::record(FiredRoute::Paths);
-                        run_paths(mdb, plan, i)
-                    }
-                    (None, _) => {
-                        route::record(FiredRoute::BoundedWidth);
-                        bounded::check(mdb, &plan.orders[i])
-                    }
-                });
-            }
-            route::record(FiredRoute::Disjunctive);
-            disjunctive::check_scaffolded(mdb, sc.scaffold()?, orders, options.search_limits())
-        }
-    }
-}
-
-/// Lemma 4.1 off the cached path decomposition when present, lazy
-/// enumeration otherwise.
-fn run_paths(mdb: &MonadicDatabase, plan: &MonadicPlan, i: usize) -> MonadicVerdict {
-    match &plan.compiled()[i].paths {
-        Some(ps) => paths::check_precompiled(mdb, ps),
-        None => paths::check(mdb, &plan.orders[i]),
-    }
-}
-
-/// The §7 `!=` route off precomputed expansions: query `!=` atoms run
-/// expanded (from the prepared query's cached [`NePlan`] artifacts),
-/// database `!=` constraints run through the sub-scaffold projection of
-/// the session-cached scaffold — so prepared `!=` queries hit warm
-/// search tables on both directions. The scaffold is only materialized
-/// when the Theorem 5.3 leg actually runs; capped expansions go straight
-/// to naive enumeration.
-#[allow(clippy::too_many_arguments)]
-fn run_ne_route(
-    mdb: &MonadicDatabase,
-    sc: &dyn ScaffoldSource,
-    plan: &MonadicPlan,
-    survivors: &[usize],
-    all_survive: bool,
-    orders: &[MonadicQuery],
-    options: EntailOptions,
-) -> Result<MonadicVerdict> {
-    let ne = plan.ne_plan();
-    let holder: Option<Vec<MonadicQuery>>;
-    let expanded: Option<&[MonadicQuery]> = if all_survive {
-        ne.full.as_deref()
-    } else {
-        let mut acc = Vec::new();
-        let mut capped = false;
-        for &i in survivors {
-            match &ne.per_disjunct[i] {
-                NeExpansion::Unneeded => acc.push(plan.orders[i].clone()),
-                NeExpansion::Expanded(e) => acc.extend(e.iter().cloned()),
-                NeExpansion::Capped => {
-                    capped = true;
-                    break;
+            Route::Paths => {
+                let m = m();
+                match &m.compiled().paths {
+                    Some(ps) => paths::check_precompiled(m.mdb, ps),
+                    None => paths::check(m.mdb, m.order()),
                 }
             }
-            // Already beyond what the Thm 5.3 leg accepts: naive decides,
-            // so stop cloning cached expansions.
-            if acc.len() > ineq::EXPANDED_DISJUNCT_CAP {
-                capped = true;
-                break;
+            Route::BoundedWidth => bounded::check(m().mdb, m().order()),
+            Route::Disjunctive => {
+                let m = m();
+                disjunctive::check_restricted(m.mdb, &view.sub_scaffold()?, &m.orders(), limits)?
             }
-        }
-        if capped {
-            None
-        } else {
-            holder = Some(acc);
-            holder.as_deref()
-        }
-    };
-    if !ineq::thm53_accepts(expanded) {
-        route::record(FiredRoute::Naive);
-        return naive::monadic_check(mdb, orders);
+            // Query `!=` atoms run pre-expanded (cached on the prepared
+            // query); database `!=` constraints run through the
+            // sub-scaffold projection of the shared scaffold, so both
+            // directions hit warm search tables.
+            Route::Ne => {
+                let m = m();
+                let expanded = m.plan.survivor_expansions(&m.survivors);
+                let sub = view.sub_scaffold()?;
+                ineq::entails_expanded_restricted(
+                    m.mdb,
+                    &sub,
+                    &m.orders(),
+                    Some(&expanded),
+                    limits,
+                )?
+            }
+        };
+        Ok(verdict.into())
     }
-    route::record(FiredRoute::Ne);
-    ineq::entails_expanded_restricted(
-        mdb,
-        &sc.sub_scaffold()?,
-        orders,
-        expanded,
-        options.search_limits(),
+}
+
+/// `route::choose` on what the executor sees of the database.
+fn choose(pq: &PreparedQuery, monadic: Option<&Monadic<'_>>) -> Result<Route> {
+    route::choose(
+        pq,
+        monadic.map(|m| &m.survivors[..]),
+        monadic.is_some_and(|m| !m.mdb.ne.is_empty()),
     )
+}
+
+/// The monadic pipeline's view of one evaluation: the database's
+/// labelled dag, the query's compiled plan, and the disjuncts whose
+/// object parts (§4) hold against the database's definite facts.
+struct Monadic<'a> {
+    mdb: &'a MonadicDatabase,
+    plan: &'a MonadicPlan,
+    survivors: Vec<usize>,
+}
+
+impl<'a> Monadic<'a> {
+    /// `None` when the pipeline does not apply: the empty query (decided
+    /// by consistency), a query compiled without it, or an n-ary
+    /// database.
+    fn of<V: DbView>(view: &'a V, pq: &'a PreparedQuery) -> Result<Option<Self>> {
+        let Some(plan) = pq.monadic.as_ref().filter(|p| !p.orders.is_empty()) else {
+            return Ok(None);
+        };
+        let mdb = match view.monadic() {
+            Ok(mdb) => mdb,
+            // An n-ary database: the naive engine decides.
+            Err(CoreError::NotMonadic { .. }) => return Ok(None),
+            // Anything else (e.g. a session warmed against a different
+            // vocabulary) must surface, not silently fall back to an
+            // engine that would misread the predicate symbols.
+            Err(e) => return Err(e),
+        };
+        let profiles = view.object_profiles()?;
+        let survivors = (0..plan.objects.len())
+            .filter(|&i| plan.objects[i].holds_against(profiles))
+            .collect();
+        Ok(Some(Monadic {
+            mdb,
+            plan,
+            survivors,
+        }))
+    }
+
+    /// The surviving order parts.
+    fn orders(&self) -> Cow<'a, [MonadicQuery]> {
+        self.plan.survivor_orders(&self.survivors)
+    }
+
+    /// The order part of the one survivor of a conjunctive route.
+    fn order(&self) -> &'a MonadicQuery {
+        &self.plan.orders[self.survivors[0]]
+    }
+
+    /// The compiled artifacts of the one survivor of a conjunctive route.
+    fn compiled(&self) -> &'a PreparedDisjunct {
+        &self.plan.compiled()[self.survivors[0]]
+    }
 }
 
 /// Database views the executor runs against: a cached [`Session`] or a
 /// freshly-normalized one-shot database. Both are lazy about the monadic
 /// view, object profiles, and disjunctive scaffold — the n-ary route
 /// never computes them.
-trait DbView: ScaffoldSource {
+trait DbView {
     fn normal(&self) -> Result<&NormalDatabase>;
     fn monadic(&self) -> Result<&MonadicDatabase>;
     fn object_profiles(&self) -> Result<&[PredSet]>;
+    /// The Theorem 5.3 scaffold projected onto the database's
+    /// `!=`-separating region (§7); the whole scaffold when the database
+    /// has no `!=`.
+    fn sub_scaffold(&self) -> Result<SubScaffold<'_>>;
 }
 
 struct SessionView<'a> {
@@ -597,12 +427,6 @@ impl DbView for SessionView<'_> {
 
     fn object_profiles(&self) -> Result<&[PredSet]> {
         self.session.object_profiles()
-    }
-}
-
-impl ScaffoldSource for SessionView<'_> {
-    fn scaffold(&self) -> Result<&DisjunctiveScaffold> {
-        self.session.disjunctive_scaffold(self.voc)
     }
 
     fn sub_scaffold(&self) -> Result<SubScaffold<'_>> {
@@ -633,53 +457,43 @@ impl DbView for FreshView<'_> {
     fn object_profiles(&self) -> Result<&[PredSet]> {
         Ok(self.profiles.get_or_init(|| object_profiles_of(&self.nd)))
     }
-}
-
-impl ScaffoldSource for FreshView<'_> {
-    fn scaffold(&self) -> Result<&DisjunctiveScaffold> {
-        let mdb = self.monadic()?;
-        Ok(self.scaffold.get_or_init(|| DisjunctiveScaffold::new(mdb)))
-    }
 
     fn sub_scaffold(&self) -> Result<SubScaffold<'_>> {
-        Ok(SubScaffold::project(self.scaffold()?, self.monadic()?))
+        let mdb = self.monadic()?;
+        let scaffold = self.scaffold.get_or_init(|| DisjunctiveScaffold::new(mdb));
+        Ok(SubScaffold::project(scaffold, mdb))
     }
 }
 
-/// Produces some model of the database (to witness failure of the false
-/// query).
-fn naive_first_model(mdb: &indord_core::monadic::MonadicDatabase) -> Result<MonadicVerdict> {
-    naive::monadic_check(mdb, &[])
-}
-
-impl Verdict {
-    /// Helper: for the empty query, produce a concrete witnessing model of
-    /// the database rather than the placeholder empty model.
-    fn into_first_model(self, nd: &indord_core::database::NormalDatabase) -> Verdict {
-        // Any minimal model will do; build the canonical sort.
-        let sort = indord_core::toposort::canonical_sort(&nd.graph);
-        if indord_core::toposort::sort_respects_ne(nd, &sort) {
-            Verdict::NaryCountermodel(Box::new(indord_core::toposort::model_of_sort(nd, &sort)))
-        } else {
-            // Fall back to enumeration (rare: canonical sort merged a !=
-            // pair).
-            let mut found = None;
-            let _ = indord_core::toposort::for_each_minimal_model(nd, &mut |m| {
-                found = Some(m.clone());
-                false
-            });
-            match found {
-                Some(m) => Verdict::NaryCountermodel(Box::new(m)),
-                None => Verdict::Entailed, // genuinely no models
-            }
-        }
+/// The verdict on the empty (false) query: entailed only when the
+/// database has no models — normalization already rejected inconsistent
+/// order atoms, so only a merged `!=` pair is left — and otherwise
+/// refuted by any minimal model.
+fn empty_query_verdict(nd: &NormalDatabase) -> Verdict {
+    if nd.has_contradictory_ne() {
+        return Verdict::Entailed;
+    }
+    let sort = indord_core::toposort::canonical_sort(&nd.graph);
+    if indord_core::toposort::sort_respects_ne(nd, &sort) {
+        return Verdict::NaryCountermodel(Box::new(indord_core::toposort::model_of_sort(
+            nd, &sort,
+        )));
+    }
+    // Rare: the canonical sort merged a `!=` pair; enumerate instead.
+    let mut found = None;
+    let _ = indord_core::toposort::for_each_minimal_model(nd, &mut |m| {
+        found = Some(m.clone());
+        false
+    });
+    match found {
+        Some(m) => Verdict::NaryCountermodel(Box::new(m)),
+        None => Verdict::Entailed, // genuinely no models
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::prepared::Plan;
     use indord_core::parse::{parse_database, parse_query, parse_query_with_db};
 
     #[test]
@@ -769,7 +583,7 @@ mod tests {
         let eng = Engine::new(&voc);
         let session = indord_core::session::Session::new(db.clone());
         let (p1, p2) = (eng.prepare(&q).unwrap(), eng.prepare(&q2).unwrap());
-        assert_eq!(p1.plan(), Plan::Seq);
+        assert_eq!(p1.plan().unwrap(), Route::Seq);
         for _ in 0..3 {
             assert_eq!(
                 eng.entails_prepared(&session, &p1).unwrap(),
@@ -951,7 +765,7 @@ mod tests {
         let eng = Engine::new(&voc);
         let session = indord_core::session::Session::new(db.clone());
         let pq = eng.prepare(&q).unwrap();
-        assert_eq!(pq.plan(), Plan::Naive);
+        assert_eq!(pq.plan().unwrap(), Route::Naive);
         assert!(eng.entails_prepared(&session, &pq).unwrap().holds());
         let empty = eng.prepare(&DnfQuery::default()).unwrap();
         assert_eq!(

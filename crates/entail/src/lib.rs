@@ -14,6 +14,7 @@
 //! | [`ineq`] | `!=` extensions | §7 | see module docs |
 //! | [`prepared`] | compile-once query artifacts | — | — |
 //! | [`statespace`] | interned packed states for the Thm 5.3 search | — | — |
+//! | [`route`] | the one route chooser (which procedure runs) | §4–§7 | — |
 //! | [`engine`] | strategy-selecting facade, prepare/execute split | — | — |
 //!
 //! Engines that answer "not entailed" return a **countermodel**: a model of
@@ -37,6 +38,6 @@ pub mod statespace;
 pub mod verdict;
 
 pub use engine::{Engine, EntailOptions, Strategy};
-pub use prepared::{DisjunctExplain, NeExplain, Plan, PreparedQuery};
-pub use route::FiredRoute;
+pub use prepared::{DisjunctExplain, NeExplain, PreparedQuery};
+pub use route::Route;
 pub use verdict::MonadicVerdict;

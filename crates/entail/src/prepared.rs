@@ -5,61 +5,31 @@
 //! (normalization, the labelled-dag view — cached by
 //! [`indord_core::session::Session`]) and a per-query phase: DNF
 //! disjuncts, the object/order split of §4, flexi-word conversion of
-//! sequential disjuncts, the `Paths(Φ)` decomposition of Lemma 4.1, the
-//! `!=` orientation expansion of §7, and the choice of algorithm each
-//! disjunct routes to. A [`PreparedQuery`] captures all of that at
-//! [`crate::Engine::prepare`] time, so
+//! sequential disjuncts, the `Paths(Φ)` decomposition of Lemma 4.1, and
+//! the `!=` orientation expansion of §7. A [`PreparedQuery`] captures all
+//! of that at [`crate::Engine::prepare`] time, so
 //! [`crate::Engine::entails_prepared`] does no query recompilation.
 //!
-//! The only decisions left to evaluation time are genuinely
-//! database-dependent: which disjuncts survive their object parts, and
-//! how the §7 routes combine the cached `!=` expansions with the
-//! session's sub-scaffold (database `!=` constraints restrict the
-//! search region; query `!=` atoms run pre-expanded).
+//! The route itself is not stored: which disjuncts survive their object
+//! parts and whether the database carries `!=` are known only per
+//! evaluation, so `route::choose` picks the route from these
+//! artifacts each time. [`PreparedQuery::plan`] is that same choice on a
+//! database where every disjunct survives and no `!=` is present.
 
 use crate::engine::Strategy;
 use crate::ineq;
+use crate::route::{self, Route};
 use indord_core::error::Result;
 use indord_core::flexi::FlexiWord;
 use indord_core::monadic::{split_object_part, MonadicQuery, ObjectPart};
 use indord_core::query::DnfQuery;
 use indord_core::sym::Vocabulary;
+use std::borrow::Cow;
 
 /// A conjunctive disjunct with at most this many decomposition paths
 /// routes to Lemma 4.1 (and gets its `Paths(Φ)` precomputed); beyond it
 /// the Theorem 4.7 product search wins and no path cache is stored.
 pub(crate) const PATHS_THRESHOLD: u128 = 32;
-
-/// Which algorithm a disjunct (or a whole query) routes to under the
-/// automatic strategy, ignoring database-dependent diversions (`!=`
-/// handling and object-part filtering are resolved per evaluation).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Plan {
-    /// `SEQ` (Fig. 6): the disjunct is a single flexi-word.
-    Seq,
-    /// Lemma 4.1 path decomposition + `SEQ` per path.
-    Paths,
-    /// Theorem 4.7 product search (too many paths to enumerate).
-    BoundedWidth,
-    /// Theorem 5.3 disjunctive product search.
-    Disjunctive,
-    /// Naive minimal-model enumeration (n-ary or pinned-naive queries).
-    Naive,
-}
-
-impl Plan {
-    /// Stable lowercase label, matching the fired-route labels of
-    /// [`crate::route::FiredRoute`] (used by `EXPLAIN` output).
-    pub fn as_str(self) -> &'static str {
-        match self {
-            Plan::Seq => "seq",
-            Plan::Paths => "paths",
-            Plan::BoundedWidth => "bounded-width",
-            Plan::Disjunctive => "disjunctive",
-            Plan::Naive => "naive",
-        }
-    }
-}
 
 /// The §7 `!=`-orientation expansion state of one disjunct.
 #[derive(Debug, Clone)]
@@ -119,6 +89,19 @@ impl NePlan {
             full: (!capped).then_some(full),
         }
     }
+
+    /// How many `[<,<=]` disjuncts the survivors expand into; `None`
+    /// when one of them exceeded the expansion cap.
+    pub(crate) fn expanded_len(&self, survivors: &[usize]) -> Option<usize> {
+        survivors
+            .iter()
+            .map(|&i| match &self.per_disjunct[i] {
+                NeExpansion::Unneeded => Some(1),
+                NeExpansion::Expanded(qs) => Some(qs.len()),
+                NeExpansion::Capped => None,
+            })
+            .sum()
+    }
 }
 
 /// The compiled artifacts of one disjunct's order part (the order part
@@ -132,8 +115,10 @@ pub struct PreparedDisjunct {
     pub(crate) paths: Option<Vec<FlexiWord>>,
     /// Number of decomposition paths (computed by DP, never enumerated).
     pub(crate) path_count: u128,
-    /// Conjunctive route of this disjunct under the automatic strategy.
-    pub(crate) plan: Plan,
+    /// The route this disjunct takes under the automatic strategy when
+    /// it is the only survivor on a database without `!=`: `Seq`,
+    /// `Paths` or `BoundedWidth`, by its compiled shape.
+    pub(crate) route: Route,
 }
 
 impl PreparedDisjunct {
@@ -151,24 +136,24 @@ impl PreparedDisjunct {
         // lazily (respectively use Thm 4.7).
         let paths =
             (flexi.is_none() && path_count <= PATHS_THRESHOLD).then(|| order.paths().collect());
-        let plan = if flexi.is_some() {
-            Plan::Seq
+        let route = if flexi.is_some() {
+            Route::Seq
         } else if path_count <= PATHS_THRESHOLD {
-            Plan::Paths
+            Route::Paths
         } else {
-            Plan::BoundedWidth
+            Route::BoundedWidth
         };
         PreparedDisjunct {
             flexi,
             paths,
             path_count,
-            plan,
+            route,
         }
     }
 
-    /// The algorithm this disjunct routes to.
-    pub fn plan(&self) -> Plan {
-        self.plan
+    /// The route this disjunct's compiled shape takes on its own.
+    pub fn route(&self) -> Route {
+        self.route
     }
 
     /// The number of Lemma 4.1 decomposition paths.
@@ -216,16 +201,41 @@ impl MonadicPlan {
             .get_or_init(|| self.orders.iter().map(PreparedDisjunct::new).collect())
     }
 
-    pub(crate) fn from_orders(orders: &[MonadicQuery], cap: usize) -> Self {
-        let objects = vec![ObjectPart::default(); orders.len()];
-        MonadicPlan::new(orders.to_vec(), objects, cap)
-    }
-
     /// The `!=` expansion artifacts, computed on first use and cached for
     /// the lifetime of the prepared query.
     pub(crate) fn ne_plan(&self) -> &NePlan {
         self.ne
             .get_or_init(|| NePlan::compute(&self.orders, self.cap))
+    }
+
+    /// The order parts of the surviving disjuncts (borrowed when every
+    /// disjunct survives).
+    pub(crate) fn survivor_orders(&self, survivors: &[usize]) -> Cow<'_, [MonadicQuery]> {
+        if survivors.len() == self.orders.len() {
+            return Cow::Borrowed(&self.orders);
+        }
+        Cow::Owned(survivors.iter().map(|&i| self.orders[i].clone()).collect())
+    }
+
+    /// The `[<,<=]` expansions of the surviving disjuncts, for an
+    /// evaluation routed to §7 (so none of them was capped).
+    pub(crate) fn survivor_expansions(&self, survivors: &[usize]) -> Cow<'_, [MonadicQuery]> {
+        let ne = self.ne_plan();
+        if let (true, Some(full)) = (survivors.len() == self.orders.len(), &ne.full) {
+            return Cow::Borrowed(full);
+        }
+        let expansion = |i: usize| match &ne.per_disjunct[i] {
+            NeExpansion::Unneeded => std::slice::from_ref(&self.orders[i]),
+            NeExpansion::Expanded(qs) => qs.as_slice(),
+            NeExpansion::Capped => &[],
+        };
+        Cow::Owned(
+            survivors
+                .iter()
+                .flat_map(|&i| expansion(i))
+                .cloned()
+                .collect(),
+        )
     }
 }
 
@@ -279,15 +289,14 @@ impl PreparedQuery {
         self.strategy
     }
 
-    /// The overall static route (per-disjunct routes via
-    /// [`PreparedQuery::disjuncts`]); forces the lazy per-disjunct
-    /// compilation for single-disjunct monadic queries.
-    pub fn plan(&self) -> Plan {
-        match &self.monadic {
-            None => Plan::Naive,
-            Some(p) if p.orders.len() == 1 => p.compiled()[0].plan,
-            Some(_) => Plan::Disjunctive,
-        }
+    /// The route `route::choose` picks when every disjunct survives
+    /// on a database without `!=` (the route against a given database
+    /// is [`crate::Engine::explain_route`]). Errors exactly where such
+    /// an evaluation would, for a pinned strategy the query does not
+    /// fit.
+    pub fn plan(&self) -> Result<Route> {
+        let all: Option<Vec<usize>> = self.monadic.as_ref().map(|p| (0..p.orders.len()).collect());
+        route::choose(self, all.as_deref(), false)
     }
 
     /// True when the monadic pipeline applies.
@@ -321,7 +330,7 @@ impl PreparedQuery {
             .zip(&plan.objects)
             .zip(&ne.per_disjunct)
             .map(|(((d, order), object), exp)| DisjunctExplain {
-                route: d.plan,
+                route: d.route,
                 path_count: d.path_count,
                 order_vars: order.labels.len(),
                 ne_atoms: order.ne.len(),
@@ -340,9 +349,9 @@ impl PreparedQuery {
 /// [`PreparedQuery::explain_disjuncts`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DisjunctExplain {
-    /// The algorithm this disjunct routes to under the automatic
-    /// strategy.
-    pub route: Plan,
+    /// The route this disjunct's compiled shape takes on its own (see
+    /// [`PreparedDisjunct::route`]).
+    pub route: Route,
     /// Lemma 4.1 decomposition paths (computed by DP, never enumerated).
     pub path_count: u128,
     /// Order variables of the disjunct's order part.
@@ -403,7 +412,7 @@ mod tests {
         let q = parse_query(&mut voc, "exists s t. P(s) & s < t & Q(t)").unwrap();
         let pq = PreparedQuery::compile(&voc, &q, Strategy::Auto, 4096).unwrap();
         assert!(pq.is_monadic());
-        assert_eq!(pq.plan(), Plan::Seq);
+        assert_eq!(pq.plan().unwrap(), Route::Seq);
         let d = &pq.disjuncts()[0];
         assert!(d.flexi.is_some());
         assert_eq!(d.path_count(), 1);
@@ -419,7 +428,7 @@ mod tests {
         let q = parse_query(&mut voc, "exists a b c. P(a) & a < b & Q(b) & a < c & R(c)").unwrap();
         let pq = PreparedQuery::compile(&voc, &q, Strategy::Auto, 4096).unwrap();
         let d = &pq.disjuncts()[0];
-        assert_eq!(d.plan(), Plan::Paths);
+        assert_eq!(d.route(), Route::Paths);
         assert_eq!(d.paths.as_ref().unwrap().len(), 2);
     }
 
@@ -429,7 +438,7 @@ mod tests {
         parse_database(&mut voc, "P(u); Q(v); R(w); u < v; u < w;").unwrap();
         let q = parse_query(&mut voc, "exists a b c. P(a) & a < b & Q(b) & a < c & R(c)").unwrap();
         let pq = PreparedQuery::compile(&voc, &q, Strategy::Auto, 4096).unwrap();
-        assert_eq!(pq.plan(), Plan::Paths);
+        assert_eq!(pq.plan().unwrap(), Route::Paths);
         assert_eq!(pq.disjuncts()[0].path_count(), 2);
     }
 
@@ -439,7 +448,7 @@ mod tests {
         parse_database(&mut voc, "P(u); Q(v); u < v;").unwrap();
         let q = parse_query(&mut voc, "(exists s. P(s)) | (exists s. Q(s))").unwrap();
         let pq = PreparedQuery::compile(&voc, &q, Strategy::Auto, 4096).unwrap();
-        assert_eq!(pq.plan(), Plan::Disjunctive);
+        assert_eq!(pq.plan().unwrap(), Route::Disjunctive);
         assert_eq!(pq.disjuncts().len(), 2);
     }
 
@@ -450,8 +459,30 @@ mod tests {
         let q = parse_query(&mut voc, "exists s t. R(s, t) & s < t").unwrap();
         let pq = PreparedQuery::compile(&voc, &q, Strategy::Auto, 4096).unwrap();
         assert!(!pq.is_monadic());
-        assert_eq!(pq.plan(), Plan::Naive);
+        assert_eq!(pq.plan().unwrap(), Route::Naive);
         assert!(pq.disjuncts().is_empty());
+    }
+
+    #[test]
+    fn plan_is_the_chosen_route() {
+        let mut voc = Vocabulary::new();
+        parse_database(&mut voc, "P(u); Q(v); u < v;").unwrap();
+        let q = parse_query(&mut voc, "exists s t. P(s) & P(t) & s != t").unwrap();
+        let pq = PreparedQuery::compile(&voc, &q, Strategy::Auto, 4096).unwrap();
+        // Query `!=` atoms take the §7 route; the disjunct keeps its shape.
+        assert_eq!(pq.plan().unwrap(), Route::Ne);
+        assert_eq!(pq.disjuncts()[0].route(), Route::Paths);
+        // A pinned strategy the query does not fit errs, as it would on
+        // evaluation.
+        let pinned = PreparedQuery::compile(&voc, &q, Strategy::Paths, 4096).unwrap();
+        assert!(pinned.plan().is_err());
+        assert_eq!(
+            PreparedQuery::compile(&voc, &DnfQuery::default(), Strategy::Auto, 4096)
+                .unwrap()
+                .plan()
+                .unwrap(),
+            Route::Empty
+        );
     }
 
     #[test]

@@ -58,7 +58,7 @@ pub mod prelude {
     pub use indord_core::prelude::*;
     pub use indord_core::session::Session;
     pub use indord_entail::engine::Verdict;
-    pub use indord_entail::{Engine, MonadicVerdict, Plan, PreparedQuery, Strategy};
+    pub use indord_entail::{Engine, MonadicVerdict, PreparedQuery, Route, Strategy};
     pub use indord_semantics::{with_integrity_constraint, OrderType};
 }
 
@@ -82,7 +82,7 @@ mod tests {
         let engine = Engine::new(&voc);
         let session = Session::new(db);
         let prepared: PreparedQuery = engine.prepare(&q).unwrap();
-        assert_eq!(prepared.plan(), Plan::Seq);
+        assert_eq!(prepared.plan().unwrap(), Route::Seq);
         assert!(engine
             .entails_prepared(&session, &prepared)
             .unwrap()

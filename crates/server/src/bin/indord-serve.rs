@@ -4,7 +4,7 @@
 //! indord-serve [--addr 127.0.0.1:7431] [--threads 4] [--open <db>]...
 //!              [--data-dir <path>] [--fsync always|group|os] [--snapshot-every N]
 //!              [--max-queue N] [--max-conns N] [--max-line BYTES]
-//!              [--request-timeout MS] [--slow-ms MS] [--rwlock]
+//!              [--request-timeout MS] [--slow-ms MS]
 //! ```
 //!
 //! Overload protection: `--max-queue` bounds each database's commit
@@ -28,16 +28,9 @@
 //! recovers each database — newest valid snapshot plus WAL replay —
 //! and comes back *warm* (scaffold built, prepared queries recompiled
 //! and pre-run).
-//!
-//! `--rwlock` serves with the PR 5 single-writer/shared-reader lock
-//! instead of the default snapshot-isolated MVCC core — the ablation
-//! baseline the benches compare against. It has no durability path and
-//! cannot be combined with `--data-dir`.
 
 use indord_server::durable::StorageConfig;
-use indord_server::runtime::{
-    serve_with, ConcurrencyMode, Registry, ServeOptions, DEFAULT_MAX_QUEUE,
-};
+use indord_server::runtime::{serve_with, Registry, ServeOptions, DEFAULT_MAX_QUEUE};
 use indord_storage::FsyncPolicy;
 use std::sync::Arc;
 use std::time::Duration;
@@ -45,8 +38,6 @@ use std::time::Duration;
 fn main() {
     let mut addr = "127.0.0.1:7431".to_string();
     let mut threads = 4usize;
-    let mut mode = ConcurrencyMode::Mvcc;
-    let mut rwlock = false;
     let mut opens: Vec<String> = Vec::new();
     let mut data_dir: Option<String> = None;
     let mut fsync = FsyncPolicy::Group;
@@ -126,19 +117,12 @@ fn main() {
                         .unwrap_or_else(|| usage("--slow-ms needs milliseconds")),
                 )
             }
-            "--rwlock" => {
-                mode = ConcurrencyMode::RwLock;
-                rwlock = true;
-            }
             "--help" | "-h" => usage(""),
             other => usage(&format!("unknown flag `{other}`")),
         }
     }
-    if rwlock && data_dir.is_some() {
-        usage("--rwlock has no durability path; it cannot be combined with --data-dir");
-    }
     let registry = match &data_dir {
-        None => Arc::new(Registry::with_mode(mode).with_max_queue(max_queue)),
+        None => Arc::new(Registry::new().with_max_queue(max_queue)),
         Some(root) => {
             let cfg = StorageConfig {
                 root: root.into(),
@@ -185,13 +169,8 @@ fn main() {
         }
     };
     println!(
-        "indord-serve listening on {} ({threads} worker threads{}{}{})",
+        "indord-serve listening on {} ({threads} worker threads{}{})",
         handle.addr(),
-        if mode == ConcurrencyMode::RwLock {
-            ", rwlock mode"
-        } else {
-            ""
-        },
         match &data_dir {
             Some(root) => format!(", durable at {root} (fsync={})", fsync.as_str()),
             None => String::new(),
@@ -216,7 +195,7 @@ fn usage(err: &str) -> ! {
         "usage: indord-serve [--addr HOST:PORT] [--threads N] [--open DB]... \
          [--data-dir PATH] [--fsync always|group|os] [--snapshot-every N] \
          [--max-queue N] [--max-conns N] [--max-line BYTES] [--request-timeout MS] \
-         [--slow-ms MS] [--rwlock]"
+         [--slow-ms MS]"
     );
     std::process::exit(if err.is_empty() { 0 } else { 2 });
 }

@@ -3,10 +3,10 @@
 //!
 //! The predecessor of this module was a 1024-slot latency ring behind a
 //! `try_lock` — bounded memory, but lossy twice over: contended pushes
-//! were *shed* (counted in `stats_samples_dropped`) and an unlucky
-//! window of 1024 samples is all the quantiles ever saw. The engine's
-//! route-dependent cost spread (PTIME monadic vs exponential Thm 5.3)
-//! makes dropped tails exactly the samples an operator needs.
+//! were *shed* and an unlucky window of 1024 samples is all the
+//! quantiles ever saw. The engine's route-dependent cost spread (PTIME
+//! monadic vs exponential Thm 5.3) makes dropped tails exactly the
+//! samples an operator needs.
 //!
 //! A [`Histogram`] here is 64 fixed log2 buckets of relaxed
 //! [`AtomicU64`]s: `record` is a handful of wait-free atomic adds (no
@@ -14,9 +14,7 @@
 //! and the full value range of a `u64` is covered — bucket `i` holds
 //! values in `[2^(i-1), 2^i)`, so quantile estimates carry at most one
 //! power-of-two of error, plenty for p50/p99 over nanosecond latencies
-//! spanning six orders of magnitude. `stats_samples_dropped` stays in
-//! the `STATS` reply for wire compatibility but is structurally zero on
-//! this path.
+//! spanning six orders of magnitude.
 //!
 //! The [`MetricsRegistry`] is the per-database bundle: one histogram
 //! per protocol verb and abort status, one per engine route actually
@@ -25,7 +23,7 @@
 //! pair-table hits/misses). [`MetricsRegistry::render_prometheus`]
 //! writes the standard text exposition format.
 
-use indord_entail::FiredRoute;
+use indord_entail::Route;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Number of log2 buckets — one per `u64` bit position, so any
@@ -216,7 +214,7 @@ impl Status {
 #[derive(Debug)]
 pub struct MetricsRegistry {
     verbs: [[Histogram; 2]; Verb::ALL.len()],
-    routes: [Histogram; FiredRoute::ALL.len()],
+    routes: [Histogram; Route::ALL.len()],
     queue_depth: Histogram,
     states_expanded: AtomicU64,
     pair_hits: AtomicU64,
@@ -250,8 +248,8 @@ impl MetricsRegistry {
 
     /// Records an evaluation's wall time under the engine route that
     /// actually fired.
-    pub fn record_route(&self, route: FiredRoute, ns: u64) {
-        let i = FiredRoute::ALL
+    pub fn record_route(&self, route: Route, ns: u64) {
+        let i = Route::ALL
             .iter()
             .position(|&r| r == route)
             .expect("route in ALL");
@@ -350,7 +348,7 @@ impl MetricsRegistry {
             "# HELP indord_route_duration_ns Evaluation wall time by fired engine route, nanoseconds.\n\
              # TYPE indord_route_duration_ns histogram\n",
         );
-        for (i, route) in FiredRoute::ALL.iter().enumerate() {
+        for (i, route) in Route::ALL.iter().enumerate() {
             let labels = format!("db=\"{db}\",route=\"{}\"", route.as_str());
             render_histogram(
                 &mut out,
@@ -472,7 +470,7 @@ mod tests {
         let m = MetricsRegistry::new();
         m.record_verb(Verb::Entail, Status::Ok, 5_000);
         m.record_verb(Verb::Entail, Status::Ok, 9_000);
-        m.record_route(indord_entail::FiredRoute::Seq, 4_000);
+        m.record_route(indord_entail::Route::Seq, 4_000);
         m.record_queue_depth(1);
         m.add_engine_counters(&indord_core::counters::EngineCounters {
             states_expanded: 7,

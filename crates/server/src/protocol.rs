@@ -619,7 +619,7 @@ pub struct StatsReply {
     /// 99th-percentile request latency, nanoseconds.
     pub p99_ns: u64,
     /// Write jobs currently queued for the database's mutator thread
-    /// (always 0 under the RwLock ablation mode, and usually 0 at rest).
+    /// (usually 0 at rest).
     pub commit_queue_depth: u64,
     /// 99th-percentile commit-queue depth observed at enqueue time.
     pub queue_depth_p99: u64,
@@ -639,7 +639,7 @@ pub struct StatsReply {
     /// n-ary facts) and sorted behind the patchable ones.
     pub structural_writes: u64,
     /// Age of the snapshot that answered this `STATS`, nanoseconds
-    /// since it was published (0 under the RwLock mode).
+    /// since it was published.
     pub snapshot_age_ns: u64,
     /// WAL records appended (0 for an in-memory database; all wal_*,
     /// fsync, snapshot-file, and recovery counters below likewise).
@@ -657,10 +657,6 @@ pub struct StatsReply {
     pub recovery_replayed_fragments: u64,
     /// Torn-tail bytes truncated during boot recovery.
     pub recovery_truncated_bytes: u64,
-    /// Latency/queue-depth samples the stats rings shed under
-    /// contention (`try_lock` misses). Nonzero means `p50_ns`/`p99_ns`
-    /// and `queue_depth_p99` are computed from a biased subsample.
-    pub stats_samples_dropped: u64,
     /// Writes rejected with `ERR overloaded` (bounded queue full).
     pub writes_shed: u64,
     /// Requests abandoned with `ERR deadline`.
@@ -675,7 +671,7 @@ pub struct StatsReply {
 }
 
 impl StatsReply {
-    const FIELDS: [&'static str; 36] = [
+    const FIELDS: [&'static str; 35] = [
         "atoms",
         "epoch",
         "prepared",
@@ -706,7 +702,6 @@ impl StatsReply {
         "compactions",
         "recovery_replayed_fragments",
         "recovery_truncated_bytes",
-        "stats_samples_dropped",
         "writes_shed",
         "deadline_aborts",
         "conns_rejected",
@@ -746,7 +741,6 @@ impl StatsReply {
             "compactions" => self.compactions,
             "recovery_replayed_fragments" => self.recovery_replayed_fragments,
             "recovery_truncated_bytes" => self.recovery_truncated_bytes,
-            "stats_samples_dropped" => self.stats_samples_dropped,
             "writes_shed" => self.writes_shed,
             "deadline_aborts" => self.deadline_aborts,
             "conns_rejected" => self.conns_rejected,
@@ -788,7 +782,6 @@ impl StatsReply {
             "compactions" => self.compactions = v,
             "recovery_replayed_fragments" => self.recovery_replayed_fragments = v,
             "recovery_truncated_bytes" => self.recovery_truncated_bytes = v,
-            "stats_samples_dropped" => self.stats_samples_dropped = v,
             "writes_shed" => self.writes_shed = v,
             "deadline_aborts" => self.deadline_aborts = v,
             "conns_rejected" => self.conns_rejected = v,
@@ -1138,7 +1131,6 @@ mod tests {
                 compactions: 1,
                 recovery_replayed_fragments: 6,
                 recovery_truncated_bytes: 17,
-                stats_samples_dropped: 8,
                 writes_shed: 11,
                 deadline_aborts: 2,
                 conns_rejected: 3,

@@ -29,10 +29,6 @@
 //! reported as a typed error, contributing nothing to the published
 //! state or counters.
 //!
-//! The previous single-writer/shared-reader `RwLock` runtime is kept
-//! behind [`ConcurrencyMode::RwLock`] (see [`Registry::with_mode`]) as
-//! the ablation baseline for the `serving-mvcc` bench group.
-//!
 //! ## Stats and observability
 //!
 //! Every database keeps request counters, lock-free latency histograms
@@ -57,7 +53,7 @@ use indord_core::query::{eliminate_constants, DnfQuery, QTerm, QueryExpr};
 use indord_core::session::Session;
 use indord_core::sym::Vocabulary;
 use indord_entail::engine::Verdict;
-use indord_entail::{route, Engine, PreparedQuery};
+use indord_entail::{route, Engine, PreparedQuery, Route};
 use indord_storage::{DbDir, Wal};
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Write};
@@ -80,7 +76,7 @@ const RESTART_BUDGET: u64 = 3;
 
 /// Per-database request counters (lock-free), the metrics registry
 /// (latency histograms per verb and fired route), and the MVCC
-/// group-commit counters (all zero under the RwLock ablation).
+/// group-commit counters.
 #[derive(Debug)]
 pub struct DbStats {
     queries: AtomicU64,
@@ -221,28 +217,11 @@ impl DbStats {
         &self.metrics
     }
 
-    /// Latency/queue-depth samples shed under contention. Structurally
-    /// zero since the `try_lock` rings were replaced by wait-free
-    /// histograms; kept (and asserted zero in tests) for `STATS` wire
-    /// compatibility.
-    pub fn samples_dropped(&self) -> u64 {
-        0
-    }
-
     /// Write jobs currently enqueued for the mutator thread (0 once the
     /// mutator has drained them into a group, even while it still runs).
     pub fn commit_queue_depth(&self) -> u64 {
         self.pending.load(Ordering::Relaxed)
     }
-}
-
-/// The mutable state of one named database under the RwLock ablation
-/// mode, guarded by the db's lock.
-#[derive(Debug)]
-struct DbState {
-    voc: Vocabulary,
-    session: Session,
-    prepared: HashMap<String, PreparedQuery>,
 }
 
 /// One published, immutable version of a database: a frozen warm
@@ -345,29 +324,6 @@ struct WriteJob {
     phases: Option<Arc<Mutex<PhaseTimes>>>,
 }
 
-/// How a [`Registry`] guards its databases.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ConcurrencyMode {
-    /// Snapshot-isolated reads + group-commit mutator thread (default).
-    #[default]
-    Mvcc,
-    /// The PR 5 single-writer/shared-reader lock, kept as the ablation
-    /// baseline for benches.
-    RwLock,
-}
-
-/// The concurrency core of one database: either the MVCC snapshot slot
-/// plus commit queue, or the legacy lock.
-#[derive(Debug)]
-enum DbCore {
-    Mvcc {
-        current: Arc<RwLock<Arc<DbSnapshot>>>,
-        sender: Mutex<mpsc::Sender<WriteJob>>,
-    },
-    // Boxed: `DbState` is large next to the two-pointer Mvcc arm.
-    Locked(Box<RwLock<DbState>>),
-}
-
 /// The mutator-owned durability state of one database: its directory,
 /// the open WAL, the snapshot cadence, and the prepared queries' source
 /// text (needed to encode snapshots — compiled plans don't serialize).
@@ -381,16 +337,16 @@ struct DurableState {
     prepared_src: HashMap<String, String>,
 }
 
-/// One named database: the concurrency core plus counters shared with
-/// the mutator thread, and — under MVCC — the mutator's join handle so
-/// shutdown can drain and join it.
+/// One named database: the published-snapshot slot, the commit queue
+/// into the mutator thread, counters shared with the mutator, and the
+/// mutator's join handle so shutdown can drain and join it.
 #[derive(Debug)]
 pub struct Db {
-    core: DbCore,
+    current: Arc<RwLock<Arc<DbSnapshot>>>,
+    sender: Mutex<mpsc::Sender<WriteJob>>,
     stats: Arc<DbStats>,
     mutator: Mutex<Option<JoinHandle<()>>>,
-    /// Shared with the mutator/supervisor; `ok` forever under the
-    /// RwLock ablation (no WAL, no mutator to supervise).
+    /// Shared with the mutator/supervisor.
     health: HealthSlot,
     /// Set before the shutdown job is enqueued: admission refuses new
     /// writes with `ERR shutdown`, and the mutator rejects
@@ -400,62 +356,9 @@ pub struct Db {
     max_queue: usize,
 }
 
-/// A pinned read view of a database: an `Arc` snapshot under MVCC, a
-/// read guard under the RwLock ablation. Everything a read needs —
-/// vocabulary, warm session, prepared queries — hangs off it.
-pub struct ReadView<'a>(ViewInner<'a>);
-
-enum ViewInner<'a> {
-    Snapshot(Arc<DbSnapshot>),
-    Guard(std::sync::RwLockReadGuard<'a, DbState>),
-}
-
-impl ReadView<'_> {
-    /// The vocabulary of the pinned state.
-    pub fn vocabulary(&self) -> &Vocabulary {
-        match &self.0 {
-            ViewInner::Snapshot(s) => &s.voc,
-            ViewInner::Guard(g) => &g.voc,
-        }
-    }
-
-    /// The session of the pinned state.
-    pub fn session(&self) -> &Session {
-        match &self.0 {
-            ViewInner::Snapshot(s) => &s.session,
-            ViewInner::Guard(g) => &g.session,
-        }
-    }
-
-    /// Looks up a prepared query in the pinned state.
-    pub fn prepared(&self, name: &str) -> Option<&PreparedQuery> {
-        match &self.0 {
-            ViewInner::Snapshot(s) => s.prepared.get(name),
-            ViewInner::Guard(g) => g.prepared.get(name),
-        }
-    }
-
-    /// Number of prepared queries in the pinned state.
-    pub fn prepared_len(&self) -> usize {
-        match &self.0 {
-            ViewInner::Snapshot(s) => s.prepared.len(),
-            ViewInner::Guard(g) => g.prepared.len(),
-        }
-    }
-
-    /// Age of the pinned snapshot in nanoseconds (0 under the lock: a
-    /// guard is always the live state).
-    fn snapshot_age_ns(&self) -> u64 {
-        match &self.0 {
-            ViewInner::Snapshot(s) => s.age_ns(),
-            ViewInner::Guard(_) => 0,
-        }
-    }
-}
-
 impl Db {
-    fn new(voc: Vocabulary, db: Database, mode: ConcurrencyMode, max_queue: usize) -> Self {
-        Db::build(voc, Session::new(db), HashMap::new(), mode, None, max_queue)
+    fn new(voc: Vocabulary, db: Database, max_queue: usize) -> Self {
+        Db::build(voc, Session::new(db), HashMap::new(), None, max_queue)
     }
 
     /// A durable database resuming from recovered on-disk state.
@@ -483,14 +386,7 @@ impl Db {
             since_snapshot,
             prepared_src,
         };
-        let db = Db::build(
-            voc,
-            session,
-            prepared,
-            ConcurrencyMode::Mvcc,
-            Some(durable),
-            max_queue,
-        );
+        let db = Db::build(voc, session, prepared, Some(durable), max_queue);
         db.stats
             .recovery_replayed_fragments
             .store(replayed_fragments, Ordering::Relaxed);
@@ -504,70 +400,47 @@ impl Db {
         voc: Vocabulary,
         session: Session,
         prepared: HashMap<String, PreparedQuery>,
-        mode: ConcurrencyMode,
         durable: Option<DurableState>,
         max_queue: usize,
     ) -> Self {
-        debug_assert!(
-            durable.is_none() || mode == ConcurrencyMode::Mvcc,
-            "durability requires the mutator thread"
-        );
         let stats = Arc::new(DbStats::new());
         let health: HealthSlot = Arc::new(Mutex::new((HealthState::Ok, String::new())));
         let closing = Arc::new(AtomicBool::new(false));
-        let mut mutator = None;
-        let core = match mode {
-            ConcurrencyMode::RwLock => DbCore::Locked(Box::new(RwLock::new(DbState {
-                voc,
-                session,
-                prepared,
-            }))),
-            ConcurrencyMode::Mvcc => {
-                let voc_arc = Arc::new(voc.clone());
-                let prepared = Arc::new(prepared);
-                let boot = Arc::new(DbSnapshot {
-                    voc: Arc::clone(&voc_arc),
-                    session: session.freeze(),
-                    prepared: Arc::clone(&prepared),
-                    seq: 0,
-                    published_at: Instant::now(),
-                });
-                let current = Arc::new(RwLock::new(boot));
-                let (tx, rx) = mpsc::channel::<WriteJob>();
-                {
-                    let m = Mutator {
-                        current: Arc::clone(&current),
-                        stats: Arc::clone(&stats),
-                        voc,
-                        session,
-                        voc_arc,
-                        prepared,
-                        seq: 0,
-                        durable,
-                        health: Arc::clone(&health),
-                        closing: Arc::clone(&closing),
-                        restarts: 0,
-                    };
-                    // The loop also exits when every Sender is gone,
-                    // i.e. when this Db is dropped without an explicit
-                    // shutdown.
-                    mutator = Some(
-                        thread::Builder::new()
-                            .name("indord-mutator".into())
-                            .spawn(move || m.run(rx))
-                            .expect("spawn mutator thread"),
-                    );
-                }
-                DbCore::Mvcc {
-                    current,
-                    sender: Mutex::new(tx),
-                }
-            }
+        let voc_arc = Arc::new(voc.clone());
+        let prepared = Arc::new(prepared);
+        let boot = Arc::new(DbSnapshot {
+            voc: Arc::clone(&voc_arc),
+            session: session.freeze(),
+            prepared: Arc::clone(&prepared),
+            seq: 0,
+            published_at: Instant::now(),
+        });
+        let current = Arc::new(RwLock::new(boot));
+        let (tx, rx) = mpsc::channel::<WriteJob>();
+        let m = Mutator {
+            current: Arc::clone(&current),
+            stats: Arc::clone(&stats),
+            voc,
+            session,
+            voc_arc,
+            prepared,
+            seq: 0,
+            durable,
+            health: Arc::clone(&health),
+            closing: Arc::clone(&closing),
+            restarts: 0,
         };
+        // The loop also exits when every Sender is gone, i.e. when this
+        // Db is dropped without an explicit shutdown.
+        let mutator = thread::Builder::new()
+            .name("indord-mutator".into())
+            .spawn(move || m.run(rx))
+            .expect("spawn mutator thread");
         Db {
-            core,
+            current,
+            sender: Mutex::new(tx),
             stats,
-            mutator: Mutex::new(mutator),
+            mutator: Mutex::new(Some(mutator)),
             health,
             closing,
             max_queue,
@@ -590,7 +463,7 @@ impl Db {
     }
 
     /// Drains the commit queue, fsyncs the WAL tail, and joins the
-    /// mutator thread. Idempotent; a no-op under the RwLock ablation.
+    /// mutator thread. Idempotent.
     /// After this, writes fail with a typed error; reads keep serving
     /// the last published snapshot.
     pub fn shutdown_mutator(&self) {
@@ -600,65 +473,50 @@ impl Db {
             .unwrap_or_else(|p| p.into_inner())
             .take();
         let Some(handle) = handle else { return };
-        if let DbCore::Mvcc { sender, .. } = &self.core {
-            // From here on, admission refuses new writes with
-            // `ERR shutdown`, and the drain loop rejects
-            // queued-but-unlogged jobs with the same error instead of
-            // applying them — a full bounded queue cannot stall the
-            // shutdown, and nothing unlogged is silently committed.
-            self.closing.store(true, Ordering::SeqCst);
-            let (tx, rx) = mpsc::channel();
-            self.stats.pending.fetch_add(1, Ordering::Relaxed);
-            let sent = sender
-                .lock()
-                .unwrap_or_else(|p| p.into_inner())
-                .send(WriteJob {
-                    op: WriteOp::Shutdown,
-                    reply: tx,
-                    enqueued_raw: clock::raw_now(),
-                    phases: None,
-                })
-                .is_ok();
-            if sent {
-                // The ack arrives only after the WAL tail is synced.
-                let _ = rx.recv();
-            }
+        // From here on, admission refuses new writes with
+        // `ERR shutdown`, and the drain loop rejects queued-but-unlogged
+        // jobs with the same error instead of applying them — a full
+        // bounded queue cannot stall the shutdown, and nothing unlogged
+        // is silently committed.
+        self.closing.store(true, Ordering::SeqCst);
+        let (tx, rx) = mpsc::channel();
+        self.stats.pending.fetch_add(1, Ordering::Relaxed);
+        let sent = self
+            .sender
+            .lock()
+            .unwrap_or_else(|p| p.into_inner())
+            .send(WriteJob {
+                op: WriteOp::Shutdown,
+                reply: tx,
+                enqueued_raw: clock::raw_now(),
+                phases: None,
+            })
+            .is_ok();
+        if sent {
+            // The ack arrives only after the WAL tail is synced.
+            let _ = rx.recv();
         }
         let _ = handle.join();
     }
 
-    /// Pins a read view: one `Arc` clone under a briefly-held lock on
-    /// the snapshot slot (MVCC), or the read guard (ablation).
-    pub fn view(&self) -> ReadView<'_> {
-        match &self.core {
-            DbCore::Mvcc { current, .. } => ReadView(ViewInner::Snapshot(
-                current.read().unwrap_or_else(|p| p.into_inner()).clone(),
-            )),
-            DbCore::Locked(state) => ReadView(ViewInner::Guard(
-                state.read().unwrap_or_else(|p| p.into_inner()),
-            )),
-        }
+    /// Pins the current snapshot: one `Arc` clone under a briefly-held
+    /// lock on the snapshot slot. A reader can hold it across arbitrary
+    /// work without blocking anything.
+    pub fn view(&self) -> Arc<DbSnapshot> {
+        self.current
+            .read()
+            .unwrap_or_else(|p| p.into_inner())
+            .clone()
     }
 
-    /// Pins the current snapshot as an owned `Arc` — a reader can hold
-    /// it across arbitrary work without blocking anything. `None` under
-    /// the RwLock ablation (there are no snapshots to pin).
+    /// [`Db::view`], kept in its `Option` form for callers written
+    /// against it; always `Some`.
     pub fn read_snapshot(&self) -> Option<Arc<DbSnapshot>> {
-        match &self.core {
-            DbCore::Mvcc { current, .. } => {
-                Some(current.read().unwrap_or_else(|p| p.into_inner()).clone())
-            }
-            DbCore::Locked(_) => None,
-        }
+        Some(self.view())
     }
 
-    /// Routes one write through the commit path and blocks for its
-    /// typed per-client result. Under MVCC the reply arrives only after
-    /// the snapshot containing the write was published
-    /// (read-your-own-writes on every later request).
     /// Enqueues `op` on the commit queue without waiting for the reply;
-    /// the caller keeps the receiver. MVCC only — the RwLock ablation
-    /// has no queue to enqueue on.
+    /// the caller keeps the receiver.
     fn submit_nonblocking(
         &self,
         op: WriteOp,
@@ -674,11 +532,6 @@ impl Db {
         op: WriteOp,
         phases: Option<Arc<Mutex<PhaseTimes>>>,
     ) -> Result<mpsc::Receiver<Result<Response, WireError>>, WireError> {
-        let DbCore::Mvcc { sender, .. } = &self.core else {
-            return Err(WireError::proto(
-                "non-blocking submit requires the MVCC core",
-            ));
-        };
         // Admission control applies to client writes; the control/test
         // ops (`Shutdown`, `Stall`, `Boom`) bypass it — shutdown must
         // always reach the mutator, and the test hooks need to work
@@ -719,7 +572,7 @@ impl Db {
             ));
         }
         self.stats.metrics.record_queue_depth(depth);
-        sender
+        self.sender
             .lock()
             .unwrap_or_else(|p| p.into_inner())
             .send(WriteJob {
@@ -774,10 +627,13 @@ impl Db {
         self.submit_deadline(op, None)
     }
 
-    /// Like [`Db::submit`], but the caller stops waiting at `deadline`:
-    /// the write stays queued (it may still commit — the reply channel
-    /// is simply dropped), and the caller gets a typed `ERR deadline`
-    /// telling it so.
+    /// Routes one write through the commit path and blocks for its
+    /// typed per-client result, which arrives only after the snapshot
+    /// containing the write was published (read-your-own-writes on every
+    /// later request). The caller stops waiting at `deadline`: the write
+    /// stays queued (it may still commit — the reply channel is simply
+    /// dropped), and the caller gets a typed `ERR deadline` telling it
+    /// so.
     fn submit_deadline(
         &self,
         op: WriteOp,
@@ -788,73 +644,28 @@ impl Db {
 
     /// [`Db::submit_deadline`] with an optional phase-times slot (see
     /// [`Db::submit_nonblocking_traced`]); the slot is filled by the
-    /// time the reply arrives. Ignored under the RwLock ablation.
+    /// time the reply arrives.
     fn submit_deadline_traced(
         &self,
         op: WriteOp,
         deadline: Option<Instant>,
         phases: Option<Arc<Mutex<PhaseTimes>>>,
     ) -> Result<Response, WireError> {
-        match &self.core {
-            DbCore::Mvcc { .. } => {
-                let rx = self.submit_nonblocking_traced(op, phases)?;
-                match deadline {
-                    None => rx.recv().unwrap_or_else(|_| {
-                        Err(WireError::proto("database mutator dropped the write"))
-                    }),
-                    Some(d) => {
-                        let wait = d.saturating_duration_since(Instant::now());
-                        match rx.recv_timeout(wait) {
-                            Ok(result) => result,
-                            Err(mpsc::RecvTimeoutError::Timeout) => {
-                                // Counted by the dispatching Conn, like
-                                // read-side expiries.
-                                Err(WireError::kinded(
-                                    ErrorKind::Deadline,
-                                    "deadline expired while the write was queued; \
-                                     it was not acked but may still commit",
-                                ))
-                            }
-                            Err(mpsc::RecvTimeoutError::Disconnected) => {
-                                Err(WireError::proto("database mutator dropped the write"))
-                            }
-                        }
-                    }
-                }
-            }
-            DbCore::Locked(state) => {
-                let mut st = state.write().unwrap_or_else(|p| p.into_inner());
-                let st = &mut *st;
-                match op {
-                    WriteOp::Fragment(fragment) => {
-                        let n = apply_fragment_atomic(&mut st.voc, &mut st.session, &fragment)?;
-                        self.stats.writes.fetch_add(n, Ordering::Relaxed);
-                        Ok(Response::Ok(format!(
-                            "inserted {n} atoms (epoch {})",
-                            st.session.epoch()
-                        )))
-                    }
-                    WriteOp::Prepare { name, query } => {
-                        let pq = compile_prepared(&st.voc, &query)?;
-                        let plan = format!("{:?}", pq.plan());
-                        st.prepared.insert(name.clone(), pq);
-                        Ok(Response::Ok(format!("prepared {name} (plan {plan})")))
-                    }
-                    WriteOp::Flush => Err(WireError::proto(
-                        "FLUSH requires a durable database (start the server with --data-dir)",
-                    )),
-                    // There is no mutator thread to join under the lock.
-                    WriteOp::Shutdown => Ok(Response::Ok("shutdown complete".to_string())),
-                    WriteOp::Stall(d) => {
-                        thread::sleep(d);
-                        Ok(Response::Ok("stalled".to_string()))
-                    }
-                    // There is no mutator thread to panic under the lock.
-                    WriteOp::Boom { .. } => Err(WireError::proto(
-                        "panic injection requires the MVCC mutator thread",
-                    )),
-                }
-            }
+        let rx = self.submit_nonblocking_traced(op, phases)?;
+        let dropped = || Err(WireError::proto("database mutator dropped the write"));
+        let Some(d) = deadline else {
+            return rx.recv().unwrap_or_else(|_| dropped());
+        };
+        let wait = d.saturating_duration_since(Instant::now());
+        match rx.recv_timeout(wait) {
+            Ok(result) => result,
+            // Counted by the dispatching Conn, like read-side expiries.
+            Err(mpsc::RecvTimeoutError::Timeout) => Err(WireError::kinded(
+                ErrorKind::Deadline,
+                "deadline expired while the write was queued; \
+                 it was not acked but may still commit",
+            )),
+            Err(mpsc::RecvTimeoutError::Disconnected) => dropped(),
         }
     }
 }
@@ -1423,12 +1234,14 @@ fn apply_write(
             }
             Err(e) => (Err(e), false),
         },
-        WriteOp::Prepare { name, query } => match compile_prepared(voc, query) {
-            Ok(pq) => {
-                let plan = format!("{:?}", pq.plan());
+        WriteOp::Prepare { name, query } => match compile_prepared(voc, query).and_then(|pq| {
+            let plan = pq.plan().map_err(|e| WireError::from(&e))?;
+            Ok((pq, plan))
+        }) {
+            Ok((pq, plan)) => {
                 Arc::make_mut(prepared).insert(name.clone(), pq);
                 (
-                    Ok(Response::Ok(format!("prepared {name} (plan {plan})"))),
+                    Ok(Response::Ok(format!("prepared {name} (plan {plan:?})"))),
                     true,
                 )
             }
@@ -1502,9 +1315,8 @@ pub(crate) fn compile_prepared(voc: &Vocabulary, query: &str) -> Result<Prepared
 /// append-only, so truncating to the mark removes exactly this parse's
 /// symbols), snapshot-rollback around the can-fail order-atom path, and
 /// reject fragments that leave the database without models. Shared by
-/// the MVCC mutator and the RwLock ablation so both modes keep the
-/// exact PR 5 atomicity contract — and `pub(crate)` because WAL replay
-/// routes through it too (recovery is the live path, re-run).
+/// the mutator and — `pub(crate)` — WAL replay (recovery is the live
+/// path, re-run).
 pub(crate) fn apply_fragment_atomic(
     voc: &mut Vocabulary,
     session: &mut Session,
@@ -1577,7 +1389,6 @@ pub(crate) fn apply_fragment_atomic(
 #[derive(Debug)]
 pub struct Registry {
     dbs: RwLock<HashMap<String, Arc<Db>>>,
-    mode: ConcurrencyMode,
     storage: Option<StorageConfig>,
     /// Commit-queue bound handed to every database this registry
     /// creates (see [`Registry::with_max_queue`]).
@@ -1591,7 +1402,6 @@ impl Default for Registry {
     fn default() -> Self {
         Registry {
             dbs: RwLock::new(HashMap::new()),
-            mode: ConcurrencyMode::default(),
             storage: None,
             max_queue: DEFAULT_MAX_QUEUE,
             conns_rejected: AtomicU64::new(0),
@@ -1600,17 +1410,9 @@ impl Default for Registry {
 }
 
 impl Registry {
-    /// An empty registry in the default (MVCC) mode.
+    /// An empty in-memory registry.
     pub fn new() -> Self {
         Registry::default()
-    }
-
-    /// An empty registry in an explicit concurrency mode (the RwLock
-    /// ablation exists for benches and differential tests).
-    pub fn with_mode(mode: ConcurrencyMode) -> Self {
-        let mut r = Registry::default();
-        r.mode = mode;
-        r
     }
 
     /// Sets the commit-queue bound for every database created after
@@ -1643,8 +1445,7 @@ impl Registry {
     /// already present is recovered *now* — snapshot load, WAL replay,
     /// torn-tail truncation, scaffold + prepared warmup — so the first
     /// request after this returns serves warm. Databases opened later
-    /// get their own directory under the root. Durability implies the
-    /// MVCC mode (the WAL is owned by the mutator thread).
+    /// get their own directory under the root.
     pub fn with_storage(cfg: StorageConfig) -> std::io::Result<Self> {
         Registry::with_storage_and_queue(cfg, DEFAULT_MAX_QUEUE)
     }
@@ -1675,16 +1476,10 @@ impl Registry {
         }
         Ok(Registry {
             dbs: RwLock::new(dbs),
-            mode: ConcurrencyMode::Mvcc,
             storage: Some(cfg),
             max_queue,
             conns_rejected: AtomicU64::new(0),
         })
-    }
-
-    /// The concurrency mode databases are created with.
-    pub fn mode(&self) -> ConcurrencyMode {
-        self.mode
     }
 
     /// The storage configuration, when this registry is durable.
@@ -1717,12 +1512,7 @@ impl Registry {
                         ),
                     }
                 }
-                Arc::new(Db::new(
-                    Vocabulary::new(),
-                    Database::new(),
-                    self.mode,
-                    self.max_queue,
-                ))
+                Arc::new(Db::new(Vocabulary::new(), Database::new(), self.max_queue))
             })
             .clone()
     }
@@ -1750,11 +1540,11 @@ impl Registry {
                         "indord-storage: cannot persist installed database `{name}` ({e}); \
                          this database is IN-MEMORY ONLY"
                     );
-                    Arc::new(Db::new(voc, db, ConcurrencyMode::Mvcc, self.max_queue))
+                    Arc::new(Db::new(voc, db, self.max_queue))
                 }
             }
         } else {
-            Arc::new(Db::new(voc, db, self.mode, self.max_queue))
+            Arc::new(Db::new(voc, db, self.max_queue))
         };
         self.dbs
             .write()
@@ -1814,7 +1604,6 @@ impl Registry {
             voc,
             Session::new(db),
             HashMap::new(),
-            ConcurrencyMode::Mvcc,
             Some(durable),
             self.max_queue,
         ));
@@ -2183,12 +1972,13 @@ impl Conn {
             Request::Explain(target) => {
                 let db = self.current()?.clone();
                 let view = db.view();
-                match &target {
+                let inline;
+                let (name, pq) = match &target {
                     Target::Prepared(name) => {
                         let pq = view.prepared(name).ok_or_else(|| {
                             WireError::registry(format!("unknown prepared query `{name}`"))
                         })?;
-                        Ok(Response::Explain(render_explain(name, pq)))
+                        (name, pq)
                     }
                     Target::Inline(text) => {
                         // Same constant-free rule as PREPARE: an inline
@@ -2205,9 +1995,16 @@ impl Conn {
                                 e
                             }
                         })?;
-                        Ok(Response::Explain(render_explain(text, &pq)))
+                        inline = pq;
+                        (text, &inline)
                     }
-                }
+                };
+                // The route an ENTAIL on this snapshot takes, chosen the
+                // same way without running it.
+                let route = Engine::new(view.vocabulary())
+                    .explain_route(view.session(), pq)
+                    .map_err(|e| WireError::from(&e))?;
+                Ok(Response::Explain(render_explain(name, pq, route)))
             }
             // Nested TRACE is rejected at parse time and intercepted in
             // `handle_with_deadline`; a programmatic `handle(Trace(..))`
@@ -2249,7 +2046,7 @@ impl Conn {
                     snapshots_published: db.stats.snapshots_published.load(Ordering::Relaxed),
                     patchable_writes: db.stats.patchable_writes.load(Ordering::Relaxed),
                     structural_writes: db.stats.structural_writes.load(Ordering::Relaxed),
-                    snapshot_age_ns: view.snapshot_age_ns(),
+                    snapshot_age_ns: view.age_ns(),
                     wal_appends: db.stats.wal_appends.load(Ordering::Relaxed),
                     wal_bytes: db.stats.wal_bytes.load(Ordering::Relaxed),
                     fsyncs: db.stats.fsyncs.load(Ordering::Relaxed),
@@ -2263,7 +2060,6 @@ impl Conn {
                         .stats
                         .recovery_truncated_bytes
                         .load(Ordering::Relaxed),
-                    stats_samples_dropped: db.stats.samples_dropped(),
                     writes_shed: db.stats.writes_shed.load(Ordering::Relaxed),
                     deadline_aborts: db.stats.deadline_aborts.load(Ordering::Relaxed),
                     conns_rejected: self.registry.conns_rejected(),
@@ -2278,7 +2074,7 @@ impl Conn {
                 // published snapshot is and how deep the commit queue
                 // stands, so a probe can alert on a wedged mutator before
                 // it trips the supervisor.
-                let age_ms = db.view().snapshot_age_ns() / 1_000_000;
+                let age_ms = db.view().age_ns() / 1_000_000;
                 let depth = db.stats.pending.load(Ordering::Relaxed);
                 let extra = format!("snapshot_age_ms={age_ms} commit_queue_depth={depth}");
                 let detail = if detail.is_empty() {
@@ -2459,15 +2255,15 @@ fn verb_of(req: &Request) -> Option<Verb> {
     }
 }
 
-/// Renders the `EXPLAIN` body for a compiled plan: overall strategy and
-/// route, then one line per disjunct with its route, path count,
-/// variable census, and `!=` expansion decision. Pure introspection —
-/// nothing here touches the session or runs a search.
-fn render_explain(name: &str, pq: &PreparedQuery) -> String {
+/// Renders the `EXPLAIN` body for a compiled plan: its strategy and the
+/// route chosen against the pinned snapshot, then one line per disjunct
+/// with its compiled shape, path count, variable census, and `!=`
+/// expansion decision. Pure introspection — nothing here runs a search.
+fn render_explain(name: &str, pq: &PreparedQuery, route: Route) -> String {
     let mut out = String::with_capacity(256);
     out.push_str(&format!("query {name}\n"));
     out.push_str(&format!("strategy {}\n", pq.strategy().as_str()));
-    out.push_str(&format!("route {}\n", pq.plan().as_str()));
+    out.push_str(&format!("route {}\n", route.as_str()));
     out.push_str(&format!(
         "monadic {}\n",
         if pq.is_monadic() { "yes" } else { "no" }
@@ -2824,10 +2620,6 @@ mod tests {
         Conn::new(Arc::new(Registry::new()))
     }
 
-    fn conn_with(mode: ConcurrencyMode) -> Conn {
-        Conn::new(Arc::new(Registry::with_mode(mode)))
-    }
-
     #[test]
     fn open_write_prepare_entail_round() {
         let mut c = conn();
@@ -3079,36 +2871,6 @@ mod tests {
             panic!("expected stats");
         };
         assert_eq!(s.atoms, 3);
-    }
-
-    #[test]
-    fn rwlock_ablation_mode_serves_the_same_protocol() {
-        let mut c = conn_with(ConcurrencyMode::RwLock);
-        c.handle_line("OPEN lab");
-        assert!(matches!(
-            c.handle_line("FACT pred P(ord); P(u); P(v); u < v;"),
-            Response::Ok(_)
-        ));
-        assert!(matches!(
-            c.handle_line("PREPARE any: exists s. P(s)"),
-            Response::Ok(_)
-        ));
-        assert_eq!(c.handle_line("ENTAIL any"), Response::Verdict(true));
-        assert_eq!(
-            c.handle_line("BATCH any"),
-            Response::Verdicts(vec![("any".into(), true)])
-        );
-        let Response::Stats(s) = c.handle_line("STATS") else {
-            panic!("expected stats");
-        };
-        assert_eq!(s.atoms, 3);
-        // The MVCC counters are all idle under the lock.
-        assert_eq!(s.group_commits, 0, "{s:?}");
-        assert_eq!(s.snapshots_published, 0, "{s:?}");
-        assert_eq!(s.commit_queue_depth, 0, "{s:?}");
-        assert_eq!(s.snapshot_age_ns, 0, "{s:?}");
-        let db = c.registry.get("lab").unwrap();
-        assert!(db.read_snapshot().is_none(), "no snapshots under the lock");
     }
 
     #[test]

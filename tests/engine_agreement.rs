@@ -233,18 +233,11 @@ fn assert_prepared_agrees(db_text: &str, q_text: &str) {
     );
 }
 
-#[test]
-fn prepared_agreement_grid() {
+/// The prepared-agreement grid: monadic, `!=`, object-part and n-ary
+/// databases, each with the queries run against it.
+fn agreement_grid() -> Vec<(String, Vec<&'static str>)> {
     const DECLS: &str = "pred P(ord); pred Q(ord); pred R(ord);";
-    let monadic_dbs = [
-        "P(u); Q(v); u < v;",
-        "P(u); Q(v); u <= v;",
-        "P(u1); Q(u2); u1 < u2; P(v1); R(v2); v1 <= v2;",
-        "P(u); P(v); u != v;",
-        "P(u); Q(v); R(w); u <= v; v <= w; u != w;",
-    ]
-    .map(|db| format!("{DECLS} {db}"));
-    let monadic_qs = [
+    let monadic_qs = vec![
         "exists s t. P(s) & s < t & Q(t)",
         "exists s t. Q(s) & s < t & P(t)",
         "exists s t. P(s) & s <= t & P(t)",
@@ -253,33 +246,110 @@ fn prepared_agreement_grid() {
         "exists s t. P(s) & P(t) & s != t",
         "(exists s t. P(s) & s != t & Q(t)) | exists s. R(s)",
     ];
-    for db in &monadic_dbs {
-        for q in monadic_qs {
-            assert_prepared_agrees(db, q);
+    let mut grid: Vec<(String, Vec<&'static str>)> = [
+        "P(u); Q(v); u < v;",
+        "P(u); Q(v); u <= v;",
+        "P(u1); Q(u2); u1 < u2; P(v1); R(v2); v1 <= v2;",
+        "P(u); P(v); u != v;",
+        "P(u); Q(v); R(w); u <= v; v <= w; u != w;",
+    ]
+    .iter()
+    .map(|db| (format!("{DECLS} {db}"), monadic_qs.clone()))
+    .collect();
+    // Object parts: disjuncts filtered by definite facts.
+    grid.push((
+        "pred Emp(obj); pred Boss(obj); pred P(ord); pred Q(ord);
+         Emp(alice); P(u); Q(v); u < v;"
+            .to_string(),
+        vec![
+            "exists x t. Boss(x) & P(t)",
+            "exists x t. Emp(x) & P(t)",
+            "(exists x t. Boss(x) & P(t)) | (exists x t. Emp(x) & P(t))",
+            "(exists x. Boss(x)) | (exists x. Emp(x))",
+            "exists x s t. Emp(x) & P(s) & s < t & Q(t)",
+        ],
+    ));
+    // n-ary databases route to the naive engine on both paths.
+    grid.push((
+        "R(u, v); u < v; R(v, w); v <= w;".to_string(),
+        vec![
+            "exists s t. R(s, t) & s < t",
+            "exists s t. R(s, t) & t < s",
+            "exists s t x. R(s, t) & R(t, x) & s < x",
+        ],
+    ));
+    grid
+}
+
+#[test]
+fn prepared_agreement_grid() {
+    for (db, queries) in agreement_grid() {
+        for q in queries {
+            assert_prepared_agrees(&db, q);
         }
     }
+}
 
-    // Object parts: disjuncts filtered by definite facts.
-    let obj_db = "pred Emp(obj); pred Boss(obj); pred P(ord); pred Q(ord);
-                  Emp(alice); P(u); Q(v); u < v;";
-    for q in [
-        "exists x t. Boss(x) & P(t)",
-        "exists x t. Emp(x) & P(t)",
-        "(exists x t. Boss(x) & P(t)) | (exists x t. Emp(x) & P(t))",
-        "(exists x. Boss(x)) | (exists x. Emp(x))",
-        "exists x s t. Emp(x) & P(s) & s < t & Q(t)",
-    ] {
-        assert_prepared_agrees(obj_db, q);
-    }
+/// Outcome of every strategy on each grid cell, in [`ALL_STRATEGIES`]
+/// order: `T` entailed, `F` refuted, `E` refused with an error. One row
+/// per grid database, one word per query; the second half is the same
+/// grid with one unrelated `!=` pair added to each database.
+const GRID_OUTCOMES: [&str; 14] = [
+    "TTTTTT FFFFFF TTTTTT FFEFFF TTEEET FFEEEE TTEEEE",
+    "FFFFFF FFFFFF TTTTTT FFEFFF TTEEET FFEEEE FFEEEE",
+    "TTTTTT FFFFFF TTTTTT TTETTT TTEEET FFEEEE TTEEEE",
+    "FFEEEF FFEEEF TTEEET FFEEEF FFEEEF TTEEEE FFEEEE",
+    "FFEEEF FFEEEF TTEEET FFEEEF TTEEET FFEEEE TTEEEE",
+    "FFFFFF TTTTTT TTTTTT TTTTTT TTTTTT",
+    "TTEEEE FFEEEE TTEEEE",
+    "TTEEET FFEEEF TTEEET FFEEEF TTEEET FFEEEE TTEEEE",
+    "FFEEEF FFEEEF TTEEET FFEEEF TTEEET FFEEEE FFEEEE",
+    "TTEEET FFEEEF TTEEET TTEEET TTEEET FFEEEE TTEEEE",
+    "FFEEEF FFEEEF TTEEET FFEEEF FFEEEF TTEEEE FFEEEE",
+    "FFEEEF FFEEEF TTEEET FFEEEF TTEEET FFEEEE TTEEEE",
+    "FFFFFF TTEEET TTEEET TTTTTT TTEEET",
+    "TTEEEE FFEEEE TTEEEE",
+];
 
-    // n-ary databases route to the naive engine on both paths.
-    let nary_db = "R(u, v); u < v; R(v, w); v <= w;";
-    for q in [
-        "exists s t. R(s, t) & s < t",
-        "exists s t. R(s, t) & t < s",
-        "exists s t x. R(s, t) & R(t, x) & s < x",
-    ] {
-        assert_prepared_agrees(nary_db, q);
+/// `EXPLAIN` predicts `TRACE`: on every grid cell, with and without an
+/// unrelated `!=` pair in the database, [`Engine::explain_route`] names
+/// the route the evaluation then records (none when the strategy
+/// refuses the input), and every strategy keeps its outcome.
+#[test]
+fn explained_route_is_the_route_taken() {
+    use indord::entail::route;
+    let grid = agreement_grid();
+    let with_ne = grid
+        .iter()
+        .map(|(db, qs)| (format!("{db} zz1 != zz2;"), qs.clone()));
+    let cells = grid.iter().cloned().chain(with_ne);
+    for ((db_text, queries), outcomes) in cells.zip(GRID_OUTCOMES) {
+        let words: Vec<&str> = outcomes.split(' ').collect();
+        assert_eq!(words.len(), queries.len(), "{db_text}");
+        for (q_text, word) in queries.iter().zip(words) {
+            let mut voc = Vocabulary::new();
+            let db = parse_database(&mut voc, &db_text).expect(&db_text);
+            let q = parse_query(&mut voc, q_text).expect(q_text);
+            for (strategy, want) in ALL_STRATEGIES.iter().zip(word.chars()) {
+                let eng = Engine::new(&voc).with_strategy(*strategy);
+                let pq = eng.prepare(&q).unwrap();
+                let session = Session::new(db.clone());
+                let explained = eng.explain_route(&session, &pq);
+                let _ = route::take();
+                let verdict = eng.entails_prepared(&session, &pq);
+                let taken = route::take();
+                let got = match &verdict {
+                    Ok(v) if v.holds() => 'T',
+                    Ok(_) => 'F',
+                    Err(_) => 'E',
+                };
+                let cell = format!("{strategy:?} on {db_text} |= {q_text}");
+                assert_eq!(got, want, "{cell}: {verdict:?}");
+                assert_eq!(explained.ok(), taken, "{cell}");
+                let _ = eng.entails(&db, &q);
+                assert_eq!(route::take(), taken, "{cell}: one-shot route");
+            }
+        }
     }
 }
 

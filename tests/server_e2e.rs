@@ -287,9 +287,7 @@ fn tcp_served_session_agrees_with_engine_oracle_across_writes() {
 /// deterministic stand-in for an enumeration of *arbitrary* duration —
 /// an in-process handle pins a `DbSnapshot` for the entire burst (a
 /// pinned snapshot is exactly what a countermodel enumeration holds
-/// while it walks the state graph). Under the old per-db `RwLock` the
-/// equivalent long read would hold the read guard and every write
-/// would queue behind it; under MVCC the burst lands, publishes fresh
+/// while it walks the state graph). The burst lands, publishes fresh
 /// snapshots, and the pinned one stays immutable. The burst completing
 /// *inside* the scope, while `pinned` is still alive, is the claim.
 #[test]
@@ -313,10 +311,8 @@ fn slow_countermodel_reader_never_blocks_the_write_burst() {
     };
 
     let db = registry.get("lab").expect("lab registered");
-    // Pin the read view for the whole burst. Under the RwLock ablation
-    // there is no snapshot to pin (`read_snapshot` is `None`) — this
-    // line is what makes the test MVCC-specific.
-    let pinned = db.read_snapshot().expect("MVCC mode serves snapshots");
+    // Pin the read view for the whole burst.
+    let pinned = db.view();
     let pinned_seq = pinned.seq();
     let pinned_atoms = pinned.session().len();
 
@@ -596,8 +592,9 @@ fn parse_prometheus(text: &str) -> std::collections::HashMap<String, f64> {
     series
 }
 
-/// The observability legs: `EXPLAIN` names the expected route for each
-/// panel shape without executing, `TRACE`d requests return phase
+/// The observability legs: `EXPLAIN` names the route `TRACE` then
+/// reports for each panel query without executing, `TRACE`d requests
+/// return phase
 /// breakdowns (write phases include WAL/fsync exactly when the server
 /// is durable), and `METRICS` renders valid Prometheus text whose
 /// histogram counts equal the requests sent.
@@ -612,8 +609,11 @@ fn explain_trace_and_metrics_introspect_the_serving_path() {
         c.ok(&format!("PREPARE {name}: {text}"));
     }
 
-    // EXPLAIN names the route each panel shape compiles to — pure
+    // EXPLAIN names the route chosen against the pinned snapshot — pure
     // introspection, no execution (the query counter must not move).
+    // The seed carries a `!=` pair, so even the sequential query is
+    // routed through the inequality machinery; the per-disjunct lines
+    // still show each disjunct's compiled shape.
     let explain = |c: &mut Client, target: &str| -> String {
         match c.send(&format!("EXPLAIN {target}")) {
             Response::Explain(body) => body,
@@ -621,18 +621,19 @@ fn explain_trace_and_metrics_introspect_the_serving_path() {
         }
     };
     let body = explain(&mut c, "seq");
-    assert!(body.contains("route seq"), "{body}");
+    assert!(body.contains("route ne\n"), "{body}");
     assert!(body.contains("monadic yes"), "{body}");
     assert!(body.contains("disjuncts 1"), "{body}");
+    assert!(body.contains("disjunct 0 route seq "), "{body}");
     let body = explain(&mut c, "disj");
-    assert!(body.contains("route disjunctive"), "{body}");
+    assert!(body.contains("route ne\n"), "{body}");
     assert!(body.contains("disjuncts 2"), "{body}");
     let body = explain(&mut c, "ne");
     assert!(body.contains("ne_atoms 1"), "{body}");
     assert!(body.contains("ne expanded("), "{body}");
     // Inline EXPLAIN compiles the text exactly as PREPARE would.
     let body = explain(&mut c, PANEL[0].1);
-    assert!(body.contains("route seq"), "{body}");
+    assert!(body.contains("route ne\n"), "{body}");
     let stats = match c.send("STATS") {
         Response::Stats(s) => s,
         other => panic!("STATS: unexpected {other:?}"),
@@ -650,10 +651,8 @@ fn explain_trace_and_metrics_introspect_the_serving_path() {
     };
     let body = trace(&mut c, "ENTAIL seq");
     assert!(body.contains("request ENTAIL seq"), "{body}");
-    // The fired route is db-dependent, not just query-dependent: the
-    // seed carries a `!=` pair, so even the `seq`-planned query runs
-    // through the inequality machinery. TRACE reports what actually
-    // fired — that divergence from EXPLAIN's compiled plan is the point.
+    // The route is db-dependent, not just query-dependent: TRACE
+    // reports the same `ne` route EXPLAIN named above.
     assert!(body.contains("route ne"), "{body}");
     assert!(body.contains("outcome CERTAIN"), "{body}");
     assert!(body.contains("phase search "), "{body}");
@@ -714,6 +713,24 @@ fn explain_trace_and_metrics_introspect_the_serving_path() {
             assert!(detail.contains("commit_queue_depth=0"), "{detail}");
         }
         other => panic!("HEALTH: unexpected {other:?}"),
+    }
+
+    // EXPLAIN predicts TRACE: for every panel query, on this `!=`
+    // database and again after a label write, the route EXPLAIN names is
+    // the route the evaluation takes.
+    let route_of = |body: &str| -> String {
+        body.lines()
+            .find_map(|l| l.strip_prefix("route "))
+            .unwrap_or_else(|| panic!("no route line in:\n{body}"))
+            .to_string()
+    };
+    for round in 0..2 {
+        for (name, _) in PANEL {
+            let explained = route_of(&explain(&mut c, name));
+            let traced = route_of(&trace(&mut c, &format!("ENTAIL {name}")));
+            assert_eq!(explained, traced, "round {round}: EXPLAIN {name} vs TRACE");
+        }
+        c.ok("FACT P1(t0_2);");
     }
     c.close();
     handle.shutdown();
